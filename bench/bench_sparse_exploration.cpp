@@ -37,16 +37,19 @@ struct explo_run {
   bool peak_valid = false;  ///< reset took; otherwise peak_mb is stale
 };
 
-explo_run run(const graph& g, u32 h, u32 threads, exploration_path path) {
+/// `explore` is one of the two named stores (proto/sparse_exploration.hpp).
+explo_run run(const graph& g, u32 h, u32 threads,
+              sparse_exploration_result (*explore)(hybrid_net&, u32, bool,
+                                                   const std::vector<u32>*,
+                                                   bool)) {
   explo_run out;
   out.peak_valid = reset_peak_rss();
   const u64 alloc0 = benchalloc::allocations();
   out.wall_ms = timed_ms([&] {
     sim_options o;
     o.threads = threads;
-    o.exploration = path;
     hybrid_net net(g, model_config{}, 1, o);
-    out.res = run_local_exploration(net, h, /*advance_rounds=*/true);
+    out.res = explore(net, h, /*advance_rounds=*/true, nullptr, true);
     out.m = net.snapshot();
   });
   out.allocs = benchalloc::allocations() - alloc0;
@@ -100,9 +103,9 @@ int main(int argc, char** argv) {
   u64 ball_total = 0;
   double large_peak = 0;
   {
-    const explo_run large1 = run(big, h, 1, exploration_path::kSparse);
+    const explo_run large1 = run(big, h, 1, sparse_local_exploration);
     row("sparse_large", 1, large1);
-    const explo_run large8 = run(big, h, 8, exploration_path::kSparse);
+    const explo_run large8 = run(big, h, 8, sparse_local_exploration);
     HYB_INVARIANT(large8.res == large1.res,
                   "thread count changed the sparse exploration result");
     HYB_INVARIANT(large8.m.rounds == large1.m.rounds &&
@@ -123,8 +126,8 @@ int main(int argc, char** argv) {
   // triples and on charged metrics.
   const u32 n_small = 2048;
   const graph small = gen::erdos_renyi_connected(n_small, 4.0, 6, 7);
-  const explo_run dense = run(small, 6, 1, exploration_path::kDense);
-  const explo_run sparse = run(small, 6, 1, exploration_path::kSparse);
+  const explo_run dense = run(small, 6, 1, dense_local_exploration);
+  const explo_run sparse = run(small, 6, 1, sparse_local_exploration);
   HYB_INVARIANT(dense.res == sparse.res,
                 "sparse exploration diverged from the dense reference");
   HYB_INVARIANT(dense.m.rounds == sparse.m.rounds &&

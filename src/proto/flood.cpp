@@ -1,37 +1,30 @@
-// Pull-based implementations of the LOCAL primitives, run node-parallel on
+// The set floods (hop_discovery, table_flood — one loop, two adapters) and
+// the hello flood behind truncated_eccentricity, pulled node-parallel on
 // the round executor (docs/CONCURRENCY.md). Each node's step reads its
-// neighbors' round-frozen frontiers and writes only its own rows, so the
-// executor may run nodes concurrently; since adjacency lists are sorted by
-// node ID, the pull order reproduces the classic sequential push order
-// bit-for-bit (same known/next orderings, same tie-breaks). The
-// frontier-emptiness checks that drive early exit are any_node reductions —
-// order-insensitive, so thread-count-invariant like every other observable.
-// Fault healing (docs/FAULTS.md): under local-plane faults each primitive
-// that can self-heal switches to a re-offer variant — every round every node
-// offers its whole held set to its neighbors (not just the last round's
-// frontier), so an item lost to a drop gets fresh chances every subsequent
-// round. The variant stops once no node learned anything new for
-// heal_stability_rounds consecutive rounds (rounds with a crashed node
-// still down never count as quiet), throws fault_failure when
-// heal_budget_mult times the fault-free round budget elapses first, and
-// referees its converged state against the reliable result — premature
-// stability (possible under adversarial-prefix schedules, or with ~p^k
-// probability under random drops) surfaces as fault_failure, never as a
-// silently incomplete return. Learned
-// hop values become learn-round stamps (upper bounds on the true hop
-// distance); distances in the Bellman–Ford variant stay exact because each
-// node keeps the Pareto-minimal (dist, hops) pairs per source and only
-// offers pairs with hops < h — so every accepted value is realized by some
-// ≤h-hop walk, and at convergence it is d_h. The exploration-shaped
-// primitives (full_local_exploration, truncated_eccentricity) heal through
-// the shared engine in proto/sparse_exploration.cpp and return results
-// bit-identical to the fault-free run; the only refusals left are the two
-// documented fault_unsupported cases (frozen-round Bellman–Ford below,
-// charged token routing in proto/token_routing.cpp).
+// neighbors' round-frozen frontiers and writes only its own rows; since
+// adjacency lists are sorted by node ID, the pull order reproduces the
+// classic sequential push order bit-for-bit. The frontier-emptiness checks
+// that drive early exit are any_node reductions — order-insensitive, so
+// thread-count-invariant like every other observable. The relaxation
+// primitives (limited_bellman_ford, full_local_exploration) run the one
+// relaxation kernel in proto/sparse_exploration.cpp.
+// Fault healing (docs/FAULTS.md): under local-plane faults the set flood
+// switches to a re-offer variant — every round every node offers its whole
+// held set to its neighbors (not just the last round's frontier), so an
+// item lost to a drop gets fresh chances every subsequent round. It stops
+// once no node learned anything new for heal_stability_rounds consecutive
+// rounds (rounds with a crashed node still down never count as quiet),
+// throws fault_failure when heal_budget_mult times the fault-free round
+// budget elapses first, and referees its converged state against the
+// reliable result — premature stability (possible under adversarial-prefix
+// schedules, or with ~p^k probability under random drops) surfaces as
+// fault_failure, never as a silently incomplete return.
+// truncated_eccentricity heals through the exploration engine in
+// proto/sparse_exploration.cpp and returns the fault-free result.
 #include "proto/flood.hpp"
 
 #include <algorithm>
-#include <tuple>
+#include <string>
 
 #include "proto/aggregation.hpp"
 #include "proto/sparse_exploration.hpp"
@@ -85,27 +78,42 @@ std::vector<u64> items_per_component(const std::vector<u32>& comp,
   return count;
 }
 
-std::vector<std::vector<discovered_seed>> healed_hop_discovery(
-    hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
-    bool early_exit) {
+/// Flood start shared by both set-flood loops: each root index is held by
+/// its root node at hop 0. `seen` is the n × |roots| byte matrix behind
+/// the O(1) duplicate checks.
+void seed_flood(u32 n, const std::vector<u32>& roots,
+                std::vector<std::vector<discovered_seed>>& known,
+                std::vector<std::vector<char>>& seen) {
+  known.assign(n, {});
+  seen.assign(n, std::vector<char>(roots.size(), 0));
+  for (u32 i = 0; i < roots.size(); ++i) {
+    HYB_REQUIRE(roots[i] < n, "flood root out of range");
+    seen[roots[i]][i] = 1;
+    known[roots[i]].push_back({i, 0});
+  }
+}
+
+/// Self-healing set flood behind hop_discovery and table_flood: every
+/// round every node offers its whole held set (in learn order) to its
+/// neighbors, so an item lost to a drop gets fresh chances every round.
+/// Each offered item costs 1 local item, or words[i] for publisher i's
+/// table. Hop stamps become learn rounds (upper bounds on the true hop
+/// distance). `what` names the primitive in fault_failure messages.
+std::vector<std::vector<discovered_seed>> healed_set_flood(
+    hybrid_net& net, const std::vector<u32>& roots, u32 rounds,
+    bool early_exit, const std::vector<u64>* words, const std::string& what) {
   const graph& g = net.g();
   const u32 n = g.num_nodes();
   const fault_options& fo = net.faults();
-  std::vector<std::vector<discovered_seed>> known(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(seeds.size(), 0);
-  for (u32 i = 0; i < seeds.size(); ++i) {
-    HYB_REQUIRE(seeds[i] < n, "seed out of range");
-    if (!seen[seeds[i]][i]) {
-      seen[seeds[i]][i] = 1;
-      known[seeds[i]].push_back({i, 0});
-    }
-  }
+  std::vector<std::vector<discovered_seed>> known;
+  std::vector<std::vector<char>> seen;
+  seed_flood(n, roots, known, seen);
   // Staged acceptances: the pull step reads known[u] of *other* nodes, so
   // it must not grow known[v] mid-round (docs/CONCURRENCY.md); new items
   // land in add[v] and merge after the barrier.
   std::vector<std::vector<discovered_seed>> add(n);
   std::vector<u8> changed(n, 0);
+  std::vector<u64> dropped(n, 0);
   const u64 budget =
       u64{fo.heal_budget_mult} * std::max<u32>(rounds, 1) +
       fo.heal_stability_rounds;
@@ -113,24 +121,23 @@ std::vector<std::vector<discovered_seed>> healed_hop_discovery(
   u32 quiet = 0;
   u64 used = 0;
   while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("hop_discovery healing budget exhausted");
+    if (used >= budget) throw fault_failure(what + " healing budget exhausted");
     const u32 r = static_cast<u32>(++used);
-    std::vector<u64> dropped(n, 0);
     const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
       add[v].clear();
+      dropped[v] = 0;
       if (!net.is_up(v)) return 0;
       u64 mine = 0;
       for (const edge& e : g.neighbors(v)) {
         const std::vector<discovered_seed>& from = known[e.to];
         const u32 count = static_cast<u32>(from.size());
-        mine += count;
         for (u32 j = 0; j < count; ++j) {
+          const u32 i = from[j].seed;
+          mine += words ? (*words)[i] : 1;  // a table crosses whole
           if (net.local_drop(e.to, v, j, count)) {
             ++dropped[v];
             continue;
           }
-          const u32 i = from[j].seed;
           if (!seen[v][i]) add[v].push_back({i, r});
         }
       }
@@ -153,16 +160,16 @@ std::vector<std::vector<discovered_seed>> healed_hop_discovery(
     });
     quiet = heal_next_quiet(net, exec, n, quiet, changed);
   }
-  // Referee: each node must know exactly the seeds of its own component
+  // Referee: each node must hold exactly the roots of its own component
   // (the healed flood runs to saturation, not a T-round ball).
   {
     const std::vector<u32> comp = component_labels(g);
-    const std::vector<u64> want = items_per_component(comp, seeds);
+    const std::vector<u64> want = items_per_component(comp, roots);
     for (u32 v = 0; v < n; ++v)
       if (known[v].size() !=
           (comp[v] < want.size() ? want[comp[v]] : 0))
         throw fault_failure(
-            "hop_discovery healing stabilized before reaching every node");
+            what + " healing stabilized before reaching every node");
   }
   // Round-accounting parity with the reliable path: pad the fixed budget
   // (or the early-exit detection aggregation), and surface the healing
@@ -178,290 +185,30 @@ std::vector<std::vector<discovered_seed>> healed_hop_discovery(
   return known;
 }
 
-/// Pareto-minimal (dist, hops) tracking for the healed Bellman–Ford: under
-/// drops a smaller-dist/more-hops value can arrive before (or instead of) a
-/// fewer-hops one, and downstream nodes may only extend walks with
-/// hops < h — keeping just the best dist per source would silently lose
-/// valid ≤h-hop distances. Sets stay sorted by dist ascending (hence hops
-/// strictly descending).
-struct pareto_entry {
-  u64 dist;
-  u32 hops;
-  u32 via;
-};
-
-bool pareto_dominated(const std::vector<pareto_entry>& set, u64 dist,
-                      u32 hops) {
-  for (const pareto_entry& e : set)
-    if (e.dist <= dist && e.hops <= hops) return true;
-  return false;
-}
-
-void pareto_insert(std::vector<pareto_entry>& set, u64 dist, u32 hops,
-                   u32 via) {
-  set.erase(std::remove_if(set.begin(), set.end(),
-                           [&](const pareto_entry& e) {
-                             return e.dist >= dist && e.hops >= hops;
-                           }),
-            set.end());
-  auto pos = std::lower_bound(set.begin(), set.end(), dist,
-                              [](const pareto_entry& e, u64 d) {
-                                return e.dist < d;
-                              });
-  set.insert(pos, {dist, hops, via});
-}
-
-std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
-    hybrid_net& net, const std::vector<u32>& sources, u32 h) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const u32 s_count = static_cast<u32>(sources.size());
-  const fault_options& fo = net.faults();
-  // cur[v][i]: Pareto-minimal (dist, hops) pairs v holds for source i.
-  std::vector<std::vector<std::vector<pareto_entry>>> cur(
-      n, std::vector<std::vector<pareto_entry>>(s_count));
-  for (u32 i = 0; i < s_count; ++i) {
-    HYB_REQUIRE(sources[i] < n, "source out of range");
-    if (cur[sources[i]][i].empty())
-      cur[sources[i]][i].push_back({0, 0, sources[i]});
-  }
-  // (source, dist, hops, via) acceptances staged per round, merged after
-  // the barrier (steps read other nodes' cur).
-  std::vector<std::vector<std::tuple<u32, u64, u32, u32>>> add(n);
-  std::vector<u8> changed(n, 0);
-  std::vector<u64> dropped(n, 0);
-  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(h, 1) +
-                     fo.heal_stability_rounds;
-  round_executor& exec = net.executor();
-  u32 quiet = 0;
-  u64 used = 0;
-  while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("limited_bellman_ford healing budget exhausted");
-    ++used;
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      dropped[v] = 0;
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        // Offered set: every held pair that can still be extended within
-        // the hop budget. Enumerate once for the count (the adversarial
-        // mode needs it), once for the pulls.
-        u32 count = 0;
-        for (u32 i = 0; i < s_count; ++i)
-          for (const pareto_entry& pe : cur[e.to][i])
-            if (pe.hops < h) ++count;
-        mine += count;
-        u32 idx = 0;
-        for (u32 i = 0; i < s_count; ++i)
-          for (const pareto_entry& pe : cur[e.to][i]) {
-            if (pe.hops >= h) continue;
-            if (net.local_drop(e.to, v, idx++, count)) {
-              ++dropped[v];
-              continue;
-            }
-            const u64 nd = pe.dist + e.weight;
-            const u32 nh = pe.hops + 1;
-            if (!pareto_dominated(cur[v][i], nd, nh))
-              add[v].push_back({i, nd, nh, e.to});
-          }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    for (u32 v = 0; v < n; ++v) lost += dropped[v];
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.advance_round();
-    exec.for_nodes(n, [&](u32 v) {
-      changed[v] = 0;
-      for (const auto& [i, nd, nh, via] : add[v]) {
-        if (pareto_dominated(cur[v][i], nd, nh)) continue;
-        pareto_insert(cur[v][i], nd, nh, via);
-        changed[v] = 1;
-      }
-    });
-    quiet = heal_next_quiet(net, exec, n, quiet, changed);
-  }
-  // Referee: replay the reliable relaxation sequentially, in memory — no
-  // simulated traffic — including its via tie-breaking (first neighbor in
-  // adjacency order that strictly improves, per round), and require the
-  // healed distance fronts to match exactly. Healed entries are always
-  // realized by ≤h-hop walks, so any divergence means the stability
-  // heuristic fired before convergence. The referee's result is what gets
-  // returned: healed vias depend on which copy survived the drop pattern,
-  // while the callers' determinism contract promises labels bit-identical
-  // to the fault-free run.
-  std::vector<std::vector<u64>> ref(n, std::vector<u64>(s_count, kInfDist));
-  std::vector<std::vector<u32>> ref_via(n, std::vector<u32>(s_count, ~u32{0}));
-  {
-    std::vector<std::vector<source_distance>> frontier(n);
-    for (u32 i = 0; i < s_count; ++i)
-      if (ref[sources[i]][i] > 0) {
-        ref[sources[i]][i] = 0;
-        ref_via[sources[i]][i] = sources[i];
-        frontier[sources[i]].push_back({i, 0, sources[i]});
-      }
-    for (u32 r = 0; r < h; ++r) {
-      std::vector<std::vector<source_distance>> next(n);
-      bool any = false;
-      for (u32 v = 0; v < n; ++v) {
-        for (const edge& e : g.neighbors(v))
-          for (const source_distance& f : frontier[e.to]) {
-            const u64 nd = f.dist + e.weight;
-            if (nd < ref[v][f.source]) {
-              ref[v][f.source] = nd;
-              ref_via[v][f.source] = e.to;
-              next[v].push_back({f.source, nd, e.to});
-            }
-          }
-        next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                     [&](const source_distance& sd) {
-                                       return sd.dist != ref[v][sd.source];
-                                     }),
-                      next[v].end());
-        any = any || !next[v].empty();
-      }
-      frontier = std::move(next);
-      if (!any) break;
-    }
-    for (u32 v = 0; v < n; ++v)
-      for (u32 i = 0; i < s_count; ++i)
-        if ((cur[v][i].empty() ? kInfDist : cur[v][i].front().dist) !=
-            ref[v][i])
-          throw fault_failure(
-              "limited_bellman_ford healing stabilized before convergence");
-  }
-  for (; used < h; ++used) net.advance_round();
-  if (used > h) net.note_extra_rounds(used - h);
-  std::vector<std::vector<source_distance>> out(n);
-  for (u32 v = 0; v < n; ++v)
-    for (u32 i = 0; i < s_count; ++i)
-      if (ref[v][i] != kInfDist) out[v].push_back({i, ref[v][i], ref_via[v][i]});
-  return out;
-}
-
-std::vector<std::vector<u32>> healed_table_flood(
-    hybrid_net& net, const std::vector<u32>& publishers,
-    const std::vector<u64>& table_words, u32 rounds) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const fault_options& fo = net.faults();
-  std::vector<std::vector<u32>> holds(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(publishers.size(), 0);
-  for (u32 i = 0; i < publishers.size(); ++i) {
-    const u32 p = publishers[i];
-    HYB_REQUIRE(p < n, "publisher out of range");
-    if (!seen[p][i]) {
-      seen[p][i] = 1;
-      holds[p].push_back(i);
-    }
-  }
-  std::vector<std::vector<u32>> add(n);
-  std::vector<u8> changed(n, 0);
-  std::vector<u64> dropped(n, 0);
-  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(rounds, 1) +
-                     fo.heal_stability_rounds;
-  round_executor& exec = net.executor();
-  u32 quiet = 0;
-  u64 used = 0;
-  while (quiet < fo.heal_stability_rounds) {
-    if (used >= budget)
-      throw fault_failure("table_flood healing budget exhausted");
-    ++used;
-    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
-      add[v].clear();
-      dropped[v] = 0;
-      if (!net.is_up(v)) return 0;
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<u32>& from = holds[e.to];
-        const u32 count = static_cast<u32>(from.size());
-        for (u32 j = 0; j < count; ++j) {
-          mine += table_words[from[j]];  // whole table crosses the edge
-          if (net.local_drop(e.to, v, j, count)) {
-            ++dropped[v];
-            continue;
-          }
-          if (!seen[v][from[j]]) add[v].push_back(from[j]);
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    u64 lost = 0;
-    for (u32 v = 0; v < n; ++v) lost += dropped[v];
-    net.note_local_delivered(items - lost);
-    net.note_local_dropped(lost);
-    net.advance_round();
-    exec.for_nodes(n, [&](u32 v) {
-      changed[v] = 0;
-      for (u32 i : add[v])
-        if (!seen[v][i]) {
-          seen[v][i] = 1;
-          holds[v].push_back(i);
-          changed[v] = 1;
-        }
-    });
-    quiet = heal_next_quiet(net, exec, n, quiet, changed);
-  }
-  // Referee: every node must hold exactly its component's tables.
-  {
-    const std::vector<u32> comp = component_labels(g);
-    const std::vector<u64> want = items_per_component(comp, publishers);
-    for (u32 v = 0; v < n; ++v)
-      if (holds[v].size() !=
-          (comp[v] < want.size() ? want[comp[v]] : 0))
-        throw fault_failure(
-            "table_flood healing stabilized before reaching every node");
-  }
-  for (; used < rounds; ++used) net.advance_round();
-  if (used > rounds) net.note_extra_rounds(used - rounds);
-  return holds;
-}
-
-}  // namespace
-
-u32 heal_next_quiet(hybrid_net& net, round_executor& exec, u32 n, u32 quiet,
-                    const std::vector<u8>& changed) {
-  if (exec.any_node(n, [&](u32 v) { return changed[v] != 0; })) return 0;
-  if (!net.faults().crashes.empty() &&
-      exec.any_node(n, [&](u32 v) { return !net.is_up(v); }))
-    return 0;
-  return quiet + 1;
-}
-
-std::vector<std::vector<discovered_seed>> hop_discovery(
-    hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
-    bool early_exit) {
+/// The fault-free set flood behind hop_discovery and table_flood: each
+/// root index floods `rounds` hops from its root, node v recording
+/// (index, hop) the round it first hears it. Costs as in healed_set_flood.
+std::vector<std::vector<discovered_seed>> set_flood(
+    hybrid_net& net, const std::vector<u32>& roots, u32 rounds,
+    bool early_exit, const std::vector<u64>* words, const std::string& what) {
   if (net.local_faults_active())
-    return healed_hop_discovery(net, seeds, rounds, early_exit);
+    return healed_set_flood(net, roots, rounds, early_exit, words, what);
   const graph& g = net.g();
   const u32 n = g.num_nodes();
-  std::vector<std::vector<discovered_seed>> known(n);
-  // frontier[v] = seed indices first learned by v in the previous round.
+  std::vector<std::vector<discovered_seed>> known;
+  std::vector<std::vector<char>> seen;
+  seed_flood(n, roots, known, seen);
+  // frontier[v] = root indices first learned by v in the previous round.
   std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(seeds.size(), 0);
-  for (u32 i = 0; i < seeds.size(); ++i) {
-    HYB_REQUIRE(seeds[i] < n, "seed out of range");
-    if (!seen[seeds[i]][i]) {
-      seen[seeds[i]][i] = 1;
-      known[seeds[i]].push_back({i, 0});
-      frontier[seeds[i]].push_back(i);
-    }
-  }
+  for (u32 v = 0; v < n; ++v)
+    for (const discovered_seed& d : known[v]) frontier[v].push_back(d.seed);
   for (u32 r = 1; r <= rounds; ++r) {
     std::vector<std::vector<u32>> next(n);
     const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
       u64 mine = 0;
       for (const edge& e : g.neighbors(v)) {
-        const std::vector<u32>& from = frontier[e.to];
-        mine += from.size();
-        for (u32 i : from) {
+        for (u32 i : frontier[e.to]) {
+          mine += words ? (*words)[i] : 1;  // a table crosses whole
           if (!seen[v][i]) {
             seen[v][i] = 1;
             known[v].push_back({i, r});
@@ -493,168 +240,21 @@ std::vector<std::vector<discovered_seed>> hop_discovery(
   return known;
 }
 
-std::vector<std::vector<source_distance>> limited_bellman_ford(
-    hybrid_net& net, const std::vector<u32>& sources, u32 h,
-    bool advance_rounds) {
-  if (net.local_faults_active()) {
-    // With a frozen round counter the fault stream would re-roll the same
-    // draws every iteration — a dropped edge stays dropped forever and no
-    // amount of re-offering heals it. The remediation its former
-    // fault_unsupported refusal named (run with advance_rounds=true) is now
-    // honored automatically: the healed path runs with real rounds, and
-    // because the caller asked for a frozen counter its nominal budget is 0
-    // — every round actually consumed surfaces as extra_rounds, so metrics
-    // record the whole cost of the fallback (docs/FAULTS.md §3).
-    if (!advance_rounds) {
-      const u64 r0 = net.round();
-      const u64 x0 = net.raw_metrics().extra_rounds;
-      auto out = healed_limited_bellman_ford(net, sources, h);
-      const u64 spent = net.round() - r0;
-      const u64 noted = net.raw_metrics().extra_rounds - x0;
-      if (spent > noted) net.note_extra_rounds(spent - noted);
-      return out;
-    }
-    return healed_limited_bellman_ford(net, sources, h);
-  }
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  const u32 s_count = static_cast<u32>(sources.size());
-  // dist[v] is v's current vector of limited distances (kInfDist = unknown);
-  // via[v] the neighbor the best value arrived through.
-  std::vector<std::vector<u64>> dist(n);
-  std::vector<std::vector<u32>> via(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].assign(s_count, kInfDist);
-    via[v].assign(s_count, ~u32{0});
-  }
-  // Frontier entries carry the value as of the round they were produced, so
-  // one synchronous round advances a value exactly one hop (the hop budget
-  // is what makes d_h well-defined).
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 i = 0; i < s_count; ++i) {
-    HYB_REQUIRE(sources[i] < n, "source out of range");
-    if (dist[sources[i]][i] != 0) {
-      dist[sources[i]][i] = 0;
-      via[sources[i]][i] = sources[i];
-      frontier[sources[i]].push_back({i, 0, sources[i]});
-    }
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from) {
-          const u64 nd = f.dist + e.weight;
-          if (nd < dist[v][f.source]) {
-            dist[v][f.source] = nd;
-            via[v][f.source] = e.to;
-            next[v].push_back({f.source, nd, e.to});
-          }
-        }
-      }
-      // Drop superseded entries (a later, smaller update for the same
-      // source makes earlier queued ones redundant). dist[v] is final for
-      // the round once this step ends — only v's own step writes it.
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dist[v][sd.source];
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
-  std::vector<std::vector<source_distance>> out(n);
-  for (u32 v = 0; v < n; ++v)
-    for (u32 i = 0; i < s_count; ++i)
-      if (dist[v][i] != kInfDist)
-        out[v].push_back({i, dist[v][i], via[v][i]});
-  return out;
+}  // namespace
+
+u32 heal_next_quiet(hybrid_net& net, round_executor& exec, u32 n, u32 quiet,
+                    const std::vector<u8>& changed) {
+  if (exec.any_node(n, [&](u32 v) { return changed[v] != 0; })) return 0;
+  if (!net.faults().crashes.empty() &&
+      exec.any_node(n, [&](u32 v) { return !net.is_up(v); }))
+    return 0;
+  return quiet + 1;
 }
 
-std::vector<std::vector<u64>> full_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    std::vector<std::vector<u32>>* first_hop) {
-  if (net.local_faults_active()) {
-    // Self-heal through the shared exploration engine
-    // (proto/sparse_exploration.cpp) and expand its canonical CSR triples
-    // back into the dense matrix shape this primitive promises. The engine
-    // returns the referee's fixed point, so dist and first_hop are
-    // bit-identical to the fault-free run.
-    const sparse_exploration_result got = healed_local_exploration(
-        net, h, advance_rounds, nullptr, first_hop != nullptr);
-    const u32 n = net.n();
-    std::vector<std::vector<u64>> dist(n, std::vector<u64>(n, kInfDist));
-    if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
-    for (u32 v = 0; v < n; ++v)
-      for (const exploration_entry& e : got.reached(v)) {
-        dist[v][e.source] = e.dist;
-        if (first_hop) (*first_hop)[v][e.source] = e.first_hop;
-      }
-    return dist;
-  }
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  std::vector<std::vector<u64>> dist(n);
-  if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
-  // As in limited_bellman_ford, frontier entries carry the value of the
-  // producing round so information moves one hop per round.
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].assign(n, kInfDist);
-    dist[v][v] = 0;
-    if (first_hop) (*first_hop)[v][v] = v;
-    frontier[v].push_back({v, 0, v});
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from) {
-          const u64 nd = f.dist + e.weight;
-          if (nd < dist[v][f.source]) {
-            dist[v][f.source] = nd;
-            if (first_hop) (*first_hop)[v][f.source] = e.to;
-            next[v].push_back({f.source, nd, e.to});
-          }
-        }
-      }
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dist[v][sd.source];
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
-  return dist;
+std::vector<std::vector<discovered_seed>> hop_discovery(
+    hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
+    bool early_exit) {
+  return set_flood(net, seeds, rounds, early_exit, nullptr, "hop_discovery");
 }
 
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,
@@ -663,50 +263,11 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
                                           u32 rounds) {
   HYB_REQUIRE(publishers.size() == table_words.size(),
               "each publisher needs a table size");
-  if (net.local_faults_active())
-    return healed_table_flood(net, publishers, table_words, rounds);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  std::vector<std::vector<u32>> holds(n);
-  std::vector<std::vector<u32>> frontier(n);
-  std::vector<std::vector<char>> seen(n);
-  for (u32 v = 0; v < n; ++v) seen[v].assign(publishers.size(), 0);
-  for (u32 i = 0; i < publishers.size(); ++i) {
-    const u32 p = publishers[i];
-    HYB_REQUIRE(p < n, "publisher out of range");
-    if (!seen[p][i]) {
-      seen[p][i] = 1;
-      holds[p].push_back(i);
-      frontier[p].push_back(i);
-    }
-  }
-  for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        for (u32 i : frontier[e.to]) {
-          mine += table_words[i];  // whole table crosses the edge
-          if (!seen[v][i]) {
-            seen[v][i] = 1;
-            holds[v].push_back(i);
-            next[v].push_back(i);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      break;
-    }
-  }
+  const std::vector<std::vector<discovered_seed>> known =
+      set_flood(net, publishers, rounds, false, &table_words, "table_flood");
+  std::vector<std::vector<u32>> holds(known.size());
+  for (u32 v = 0; v < known.size(); ++v)
+    for (const discovered_seed& d : known[v]) holds[v].push_back(d.seed);
   return holds;
 }
 

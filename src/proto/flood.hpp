@@ -2,32 +2,42 @@
 // Model": the unbounded-bandwidth LOCAL mode; used by Algorithms 1, 5, 6
 // and 9).
 //
-// The paper's protocols use the local graph in exactly four ways; each gets
-// one primitive here so that all LOCAL information flow goes through code
-// that advances simulated rounds and charges traffic:
+// The paper's protocols use the local graph in four ways. Each has an entry
+// point here, and each is a thin adapter over one of two engines that
+// advance simulated rounds and charge traffic, so all LOCAL information
+// flow goes through audited code:
 //
-//  1. hop_discovery        — multi-source BFS flooding for T rounds; every
-//                            node learns (seed, hop) for seeds within T hops
-//                            ("flood information on R / W", Algorithm 1).
-//  2. limited_bellman_ford — h synchronous relaxation rounds from a source
-//                            set; node v learns d_h(v, s) (Algorithm 6's
-//                            skeleton-edge discovery, Algorithm 5's local
-//                            source exploration).
-//  3. full_local_exploration — h rounds in which every node forwards all
-//                            topology it knows; afterwards each node knows
-//                            d_h(u, v) for all pairs it can see (the APSP
-//                            algorithm's "local exploration", Section 3).
-//  4. table_flood          — skeleton nodes publish an immutable table that
-//                            floods T hops; recipients get shared read-only
-//                            access (the "distribute distance labels to the
-//                            Õ(x)-neighborhood" step). Payload bits are
-//                            charged per edge crossing; sharing the storage
-//                            is a simulator optimization, not an information
-//                            leak, because the content is identical for all
-//                            recipients.
+//  * the set flood (proto/flood.cpp) — every root index spreads T hops and
+//    each node records (index, hop) when it first hears it:
+//    1. hop_discovery        — multi-source BFS flooding; every node learns
+//                              (seed, hop) for seeds within T hops ("flood
+//                              information on R / W", Algorithm 1). Each
+//                              forwarded item costs one local item.
+//    4. table_flood          — skeleton nodes publish an immutable table
+//                              that floods T hops; recipients get shared
+//                              read-only access (the "distribute distance
+//                              labels to the Õ(x)-neighborhood" step). The
+//                              whole table is charged per edge crossing;
+//                              sharing the storage is a simulator
+//                              optimization, not an information leak,
+//                              because the content is identical for all
+//                              recipients.
+//  * the h-hop relaxation kernel (proto/sparse_exploration.cpp) — h
+//    synchronous min-plus rounds from a source set:
+//    2. limited_bellman_ford — node v learns d_h(v, s) for each source
+//                              (Algorithm 6's skeleton-edge discovery,
+//                              Algorithm 5's local source exploration).
+//    3. full_local_exploration — every node is a source; afterwards each
+//                              node knows d_h(u, v) for all pairs it can
+//                              see (the APSP algorithm's "local
+//                              exploration", Section 3).
+//    Both keep dense rows keyed by source index; the h-ball-bounded store
+//    behind the same kernel is proto/sparse_exploration.hpp.
 //
-// All primitives run over the whole graph; restricting propagation to a
-// cluster is done by the clustering utilities (proto/clustering.hpp).
+// Under local-plane faults each engine switches to its self-healing
+// re-offer loop (docs/FAULTS.md §3). All primitives run over the whole
+// graph; restricting propagation to a cluster is done by the clustering
+// utilities (proto/clustering.hpp).
 #pragma once
 
 #include <memory>

@@ -59,8 +59,8 @@ skeleton_result compute_skeleton(hybrid_net& net, double sample_prob,
     // row per node — O(n·n_s) words, which at n = 10⁵ with p ≈ 0.05 is the
     // multi-GB blowup the two-level bench exposed. run_local_exploration
     // produces the same triples with the same round/message charging (the
-    // exploration equivalence contract; below the dense cutoff it literally
-    // wraps limited_bellman_ford), bounded by O(Σ|ball_h|) instead.
+    // exploration equivalence contract; below the dense cutoff it runs
+    // limited_bellman_ford's dense store), bounded by O(Σ|ball_h|) beyond.
     const sparse_exploration_result res = run_local_exploration(
         net, sk.h, /*advance_rounds=*/true, &sk.nodes, /*first_hops=*/true);
     sk.near.assign(n, {});

@@ -1,9 +1,10 @@
-// Sparse h-hop exploration: the dense pull loops of proto/flood.cpp with
-// the n-wide per-node distance vectors replaced by sparse_dist_maps. The
-// round structure, pull order, relaxation condition, frontier filtering,
-// charging, and early-exit round accounting are kept line-for-line
-// equivalent, which is what makes the sparse path bit-identical to the
-// dense one (the differential suite asserts it, triples and metrics both).
+// The h-hop relaxation engine. Every frontier relaxation in the library —
+// sparse/dense/run_local_exploration, explore_adjacency, and
+// limited_bellman_ford / full_local_exploration (declared in
+// proto/flood.hpp) plus the two healing referees — runs relax_rounds below
+// over one of two per-node stores and, where it returns CSR triples, the
+// one flatten. The healed re-offer loops (Pareto sets per source) live here
+// too, since their referees are that same kernel with charging off.
 #include "proto/sparse_exploration.hpp"
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "proto/flood.hpp"
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 
 namespace hybrid {
 
@@ -30,129 +32,357 @@ void require_distinct(const std::vector<u32>& sources, u32 n) {
   HYB_REQUIRE(sorted.empty() || sorted.back() < n, "source out of range");
 }
 
-/// Sequential reliable replica of sparse_local_exploration's round loop —
-/// the healed engine's referee. Pure function of the graph (no simulated
-/// traffic, no randomness): per-node relaxation order, frontier filtering,
-/// and the final source-sorted flatten match the executor path line for
-/// line, so the result is the bit-identical canonical fixed point the
-/// fault-free run would return. `weight_of` abstracts the unit-weight mode
-/// (truncated_eccentricity floods hop counts, not weighted distances).
-sparse_exploration_result reliable_exploration_reference(
-    const graph& g, u32 h, const std::vector<u32>* sources, bool first_hops,
-    bool unit_weights) {
-  const u32 n = g.num_nodes();
-  std::vector<sparse_dist_map> dist(n);
-  std::vector<std::vector<source_distance>> frontier(n);
-  if (sources) {
-    for (u32 s : *sources) {
-      dist[s].relax(s, 0, s);
-      frontier[s].push_back({s, 0, s});
+// ---- the two per-node stores ---------------------------------------------------
+//
+// Both are keyed by source INDEX (a position in the sources vector, or the
+// node id when every node explores) and expose the same three operations:
+// store[v] yields a row with relax / dist_of, reached(v) counts v's entries
+// and copy(v, at) writes them out as exploration_entry.
+
+/// sparse_dist_maps: memory O(Σᵥ|ball_h(v)|), whatever n is.
+struct sparse_store {
+  std::vector<sparse_dist_map> rows;
+
+  explicit sparse_store(u32 n) : rows(n) {}
+  u32 size() const { return static_cast<u32>(rows.size()); }
+  sparse_dist_map& operator[](u32 v) { return rows[v]; }
+  u32 reached(u32 v) const { return rows[v].size(); }
+  exploration_entry* copy(u32 v, exploration_entry* at) const {
+    const std::span<const exploration_entry> got = rows[v].entries();
+    return std::copy(got.begin(), got.end(), at);
+  }
+};
+
+/// Dense rows: row v holds d(v, i) for every index i (kInfDist = unknown) —
+/// O(n · |indices|) memory, cache-friendly when balls saturate. First hops
+/// are kept only when asked for.
+struct dense_store {
+  struct row {
+    u64* dist;
+    u32* via;  ///< nullptr when first hops are not kept
+    u64 dist_of(u32 i) const { return dist[i]; }
+    bool relax(u32 i, u64 nd, u32 from) {
+      if (nd >= dist[i]) return false;
+      dist[i] = nd;
+      if (via) via[i] = from;
+      return true;
     }
-  } else {
-    for (u32 v = 0; v < n; ++v) {
-      dist[v].relax(v, 0, v);
-      frontier[v].push_back({v, 0, v});
-    }
+  };
+
+  std::vector<std::vector<u64>> dist;
+  std::vector<std::vector<u32>> via;  ///< empty when first hops are not kept
+
+  dense_store(u32 n, u32 width, bool keep_via)
+      : dist(n, std::vector<u64>(width, kInfDist)),
+        via(keep_via ? n : 0, std::vector<u32>(width, ~u32{0})) {}
+  u32 size() const { return static_cast<u32>(dist.size()); }
+  row operator[](u32 v) {
+    return {dist[v].data(), via.empty() ? nullptr : via[v].data()};
+  }
+  u32 reached(u32 v) const {
+    return static_cast<u32>(
+        std::count_if(dist[v].begin(), dist[v].end(),
+                      [](u64 d) { return d != kInfDist; }));
+  }
+  exploration_entry* copy(u32 v, exploration_entry* at) const {
+    for (u32 i = 0; i < dist[v].size(); ++i)
+      if (dist[v][i] != kInfDist)
+        *at++ = {dist[v][i], i, via.empty() ? ~u32{0} : via[v][i]};
+    return at;
+  }
+};
+
+// ---- the kernel ------------------------------------------------------------------
+
+/// h synchronous min-plus relaxation rounds from `sources` (nullptr = every
+/// node, index = node id) into `dist`, pulled node-parallel on `ex`. Each
+/// node reads its neighbors' round-frozen frontiers and writes only its own
+/// row; adjacency lists are sorted, so the first neighbor in adjacency
+/// order that strictly improves a source's distance becomes its first hop
+/// at every thread count (docs/CONCURRENCY.md §3). Frontier entries carry
+/// the value of the round that produced them, so information moves exactly
+/// one hop per round — the hop budget is what makes d_h well-defined.
+///
+/// `nbrs(v)` yields v's (neighbor, weight) pairs; `unit_weights` counts
+/// every edge as 1. After each round `end_round(items, idle)` gets the
+/// round's pulled-item count and, when the frontier just died, the number
+/// of budgeted rounds left (0 otherwise) — the charging hook spends them
+/// silently, as fixed round budgets require.
+template <class Store, class Neighbors, class Hook>
+void relax_rounds(Store& dist, const std::vector<u32>* sources, u32 h,
+                  const Neighbors& nbrs, bool unit_weights, round_executor& ex,
+                  const Hook& end_round) {
+  const u32 n = dist.size();
+  std::vector<std::vector<exploration_entry>> frontier(n);
+  const u32 seeds = sources ? static_cast<u32>(sources->size()) : n;
+  for (u32 i = 0; i < seeds; ++i) {
+    const u32 s = sources ? (*sources)[i] : i;
+    HYB_REQUIRE(s < n, "source out of range");
+    dist[s].relax(i, 0, s);
+    frontier[s].push_back({0, i, s});
   }
   for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    bool any = false;
-    for (u32 v = 0; v < n; ++v) {
-      sparse_dist_map& dv = dist[v];
-      for (const edge& e : g.neighbors(v)) {
-        const u64 w = unit_weights ? 1 : e.weight;
-        for (const source_distance& f : frontier[e.to])
-          if (dv.relax(f.source, f.dist + w, e.to))
-            next[v].push_back({f.source, f.dist + w, e.to});
+    std::vector<std::vector<exploration_entry>> next(n);
+    const u64 items = ex.sum_nodes(n, [&](u32 v) -> u64 {
+      u64 mine = 0;
+      auto&& dv = dist[v];
+      for (const auto& [to, weight] : nbrs(v)) {
+        const std::vector<exploration_entry>& from = frontier[to];
+        const u64 w = unit_weights ? 1 : weight;
+        mine += from.size();
+        for (const exploration_entry& f : from)
+          if (dv.relax(f.source, f.dist + w, to))
+            next[v].push_back({f.dist + w, f.source, to});
       }
+      // Drop superseded entries — a later, smaller update for the same
+      // source makes earlier queued ones redundant. dv is final for the
+      // round once this step ends (only v's own step writes it).
       next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
+                                   [&](const exploration_entry& e) {
+                                     return e.dist != dv.dist_of(e.source);
                                    }),
                     next[v].end());
-      any = any || !next[v].empty();
-    }
+      return mine;
+    });
     frontier = std::move(next);
+    const bool any =
+        ex.any_node(n, [&](u32 v) { return !frontier[v].empty(); });
+    end_round(items, any ? 0 : h - r - 1);
     if (!any) break;
   }
+}
+
+auto graph_neighbors(const graph& g) {
+  return [&g](u32 v) { return g.neighbors(v); };
+}
+
+/// The round hook of every message-level exploration: charge the pulled
+/// items as delivered local traffic and, unless running in parallel with
+/// the rest of the algorithm (Lemma 4.3's trick), advance the round plus
+/// any idle remainder of the budget.
+auto charge_rounds(hybrid_net& net, bool advance_rounds) {
+  return [&net, advance_rounds](u64 items, u32 idle) {
+    net.charge_local(items);
+    net.note_local_delivered(items);
+    if (advance_rounds)
+      for (u32 k = 0; k <= idle; ++k) net.advance_round();
+  };
+}
+
+/// The round hook of free local computation and of the referees.
+void no_charge(u64, u32) {}
+
+/// The referees' executor: one thread, so they stay sequential.
+round_executor sequential_executor() {
+  sim_options opts;
+  opts.threads = 1;
+  return round_executor(opts);
+}
+
+/// The one CSR flatten: node v's entries land in
+/// out.entries[offsets[v] .. offsets[v+1]), with store keys mapped back to
+/// source node ids through `ids` (nullptr = keys are node ids), first hops
+/// blanked unless kept, and sorted by source id — the canonical,
+/// thread-count-invariant order.
+template <class Store>
+sparse_exploration_result flatten(const Store& dist,
+                                  const std::vector<u32>* ids, bool first_hops,
+                                  round_executor& ex) {
+  const u32 n = dist.size();
   sparse_exploration_result out;
   out.offsets.assign(n + 1, 0);
   for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + dist[v].size();
+    out.offsets[v + 1] = out.offsets[v] + dist.reached(v);
   out.entries.resize(out.offsets[n]);
-  for (u32 v = 0; v < n; ++v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    if (!first_hops)
-      for (u32 k = 0; k < src.size(); ++k) at[k].first_hop = ~u32{0};
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  }
+  ex.for_nodes(n, [&](u32 v) {
+    exploration_entry* const at = out.entries.data() + out.offsets[v];
+    exploration_entry* const end = dist.copy(v, at);
+    for (exploration_entry* e = at; e != end; ++e) {
+      if (ids) e->source = (*ids)[e->source];
+      if (!first_hops) e->first_hop = ~u32{0};
+    }
+    const auto by_source = [](const exploration_entry& a,
+                              const exploration_entry& b) {
+      return a.source < b.source;
+    };
+    // Dense rows come out in key order; the maps in discovery order.
+    if (!std::is_sorted(at, end, by_source)) std::sort(at, end, by_source);
+  });
   return out;
 }
 
-/// One Pareto-minimal (dist, hops) pair the healed engine holds for a
-/// source, stamped with the merge iteration that accepted it — offering a
-/// pair in any later iteration than stamp + 1 is a retransmission
-/// (docs/FAULTS.md §3's `retransmitted` counter).
-struct healed_pareto_entry {
-  u64 dist;
-  u32 hops;
-  u32 stamp;
-};
+/// Sequential reliable replica of sparse_local_exploration — the healed
+/// engine's referee. Pure function of the graph (no simulated traffic, no
+/// randomness): the same kernel and flatten with charging off, so the
+/// result is the bit-identical canonical fixed point the fault-free run
+/// would return. `unit_weights` serves truncated_eccentricity, which floods
+/// hop counts, not weighted distances.
+sparse_exploration_result reliable_exploration_reference(
+    const graph& g, u32 h, const std::vector<u32>* sources, bool first_hops,
+    bool unit_weights) {
+  round_executor seq = sequential_executor();
+  sparse_store dist(g.num_nodes());
+  relax_rounds(dist, sources, h, graph_neighbors(g), unit_weights, seq,
+               no_charge);
+  return flatten(dist, sources, first_hops, seq);
+}
 
-/// Per-node healed state: sources in insertion (discovery) order, each with
-/// its dist-ascending / hops-strictly-descending Pareto set. Insertion
-/// order is a pure function of the merge history, which is deterministic
-/// and thread-count-invariant, so the per-edge offer enumeration (and with
-/// it every fault draw index) is too. Lookup is a linear scan — healed runs
-/// are test/bench sized, and the referee bounds the held set by the h-ball.
-struct healed_source_sets {
-  std::vector<u32> sources;
-  std::vector<std::vector<healed_pareto_entry>> sets;
+/// limited_bellman_ford's per-node output format, from a dense store keyed
+/// by source index.
+std::vector<std::vector<source_distance>> source_lists(const dense_store& d) {
+  std::vector<std::vector<source_distance>> out(d.size());
+  for (u32 v = 0; v < d.size(); ++v)
+    for (u32 i = 0; i < d.dist[v].size(); ++i)
+      if (d.dist[v][i] != kInfDist)
+        out[v].push_back({i, d.dist[v][i], d.via[v][i]});
+  return out;
+}
 
-  u32 find(u32 source) const {
-    for (u32 k = 0; k < sources.size(); ++k)
-      if (sources[k] == source) return k;
-    return ~u32{0};
-  }
-  bool dominated(u32 source, u64 dist, u32 hops) const {
-    const u32 k = find(source);
-    if (k == ~u32{0}) return false;
-    for (const healed_pareto_entry& e : sets[k])
-      if (e.dist <= dist && e.hops <= hops) return true;
+// ---- self-healing ------------------------------------------------------------------
+
+/// Pareto-minimal (dist, hops) pairs a healed node holds for one source:
+/// under drops a smaller-dist/more-hops value can arrive before (or instead
+/// of) a fewer-hops one, and downstream nodes may only extend walks with
+/// hops < h — keeping just the best dist would silently lose valid ≤h-hop
+/// distances. Pairs stay sorted by dist ascending (hence hops strictly
+/// descending). Each is stamped with the merge iteration that accepted it;
+/// offering a pair in any later iteration than stamp + 1 is a
+/// retransmission (docs/FAULTS.md §3's `retransmitted` counter).
+struct pareto_set {
+  struct pair {
+    u64 dist;
+    u32 hops;
+    u32 stamp;
+  };
+  std::vector<pair> pairs;
+
+  bool dominates(u64 dist, u32 hops) const {
+    for (const pair& p : pairs)
+      if (p.dist <= dist && p.hops <= hops) return true;
     return false;
   }
-  void insert(u32 source, u64 dist, u32 hops, u32 stamp) {
-    u32 k = find(source);
-    if (k == ~u32{0}) {
-      k = static_cast<u32>(sources.size());
-      sources.push_back(source);
-      sets.emplace_back();
-    }
-    std::vector<healed_pareto_entry>& set = sets[k];
-    set.erase(std::remove_if(set.begin(), set.end(),
-                             [&](const healed_pareto_entry& e) {
-                               return e.dist >= dist && e.hops >= hops;
-                             }),
-              set.end());
-    auto pos = std::lower_bound(set.begin(), set.end(), dist,
-                                [](const healed_pareto_entry& e, u64 d) {
-                                  return e.dist < d;
-                                });
-    set.insert(pos, {dist, hops, stamp});
+  void insert(u64 dist, u32 hops, u32 stamp) {
+    pairs.erase(std::remove_if(pairs.begin(), pairs.end(),
+                               [&](const pair& p) {
+                                 return p.dist >= dist && p.hops >= hops;
+                               }),
+                pairs.end());
+    auto pos = std::lower_bound(
+        pairs.begin(), pairs.end(), dist,
+        [](const pair& p, u64 d) { return p.dist < d; });
+    pairs.insert(pos, {dist, hops, stamp});
   }
 };
 
-/// One self-healing attempt: re-offer rounds until a crash-aware quiet
-/// window, then validate against the referee's fixed point. Returns normally
-/// on success; throws fault_failure on budget exhaustion or premature
-/// stability (the caller retries with fresh fault draws — the round counter
-/// moved). `rounds_spent` accumulates even on throw so the caller can
-/// account every burned round as healing overhead.
+/// Self-healing limited_bellman_ford: every round every node re-offers all
+/// its extendable pairs, enumerated by source index. Distances stay exact
+/// because only pairs with hops < h are offered, so every accepted value is
+/// realized by some ≤h-hop walk and at convergence it is d_h.
+std::vector<std::vector<source_distance>> healed_limited_bellman_ford(
+    hybrid_net& net, const std::vector<u32>& sources, u32 h) {
+  const graph& g = net.g();
+  const u32 n = g.num_nodes();
+  const u32 s_count = static_cast<u32>(sources.size());
+  const fault_options& fo = net.faults();
+  // cur[v][i]: the pairs v holds for source i.
+  std::vector<std::vector<pareto_set>> cur(n,
+                                           std::vector<pareto_set>(s_count));
+  for (u32 i = 0; i < s_count; ++i) {
+    HYB_REQUIRE(sources[i] < n, "source out of range");
+    cur[sources[i]][i].insert(0, 0, 0);
+  }
+  // (source, dist, hops) acceptances staged per round, merged after the
+  // barrier (steps read other nodes' cur).
+  std::vector<std::vector<std::tuple<u32, u64, u32>>> add(n);
+  std::vector<u8> changed(n, 0);
+  std::vector<u64> dropped(n, 0);
+  const u64 budget = u64{fo.heal_budget_mult} * std::max<u32>(h, 1) +
+                     fo.heal_stability_rounds;
+  round_executor& exec = net.executor();
+  u32 quiet = 0;
+  u64 used = 0;
+  while (quiet < fo.heal_stability_rounds) {
+    if (used >= budget)
+      throw fault_failure("limited_bellman_ford healing budget exhausted");
+    const u32 it = static_cast<u32>(++used);
+    const u64 items = exec.sum_nodes(n, [&](u32 v) -> u64 {
+      add[v].clear();
+      dropped[v] = 0;
+      if (!net.is_up(v)) return 0;
+      u64 mine = 0;
+      for (const edge& e : g.neighbors(v)) {
+        // Offered set: every held pair that can still be extended within
+        // the hop budget. Enumerate once for the count (the adversarial
+        // mode needs it), once for the pulls.
+        u32 count = 0;
+        for (u32 i = 0; i < s_count; ++i)
+          for (const pareto_set::pair& p : cur[e.to][i].pairs)
+            if (p.hops < h) ++count;
+        mine += count;
+        u32 idx = 0;
+        for (u32 i = 0; i < s_count; ++i)
+          for (const pareto_set::pair& p : cur[e.to][i].pairs) {
+            if (p.hops >= h) continue;
+            if (net.local_drop(e.to, v, idx++, count)) {
+              ++dropped[v];
+              continue;
+            }
+            const u64 nd = p.dist + e.weight;
+            const u32 nh = p.hops + 1;
+            if (!cur[v][i].dominates(nd, nh)) add[v].push_back({i, nd, nh});
+          }
+      }
+      return mine;
+    });
+    net.charge_local(items);
+    u64 lost = 0;
+    for (u32 v = 0; v < n; ++v) lost += dropped[v];
+    net.note_local_delivered(items - lost);
+    net.note_local_dropped(lost);
+    net.advance_round();
+    exec.for_nodes(n, [&](u32 v) {
+      changed[v] = 0;
+      for (const auto& [i, nd, nh] : add[v]) {
+        if (cur[v][i].dominates(nd, nh)) continue;
+        cur[v][i].insert(nd, nh, it);
+        changed[v] = 1;
+      }
+    });
+    quiet = heal_next_quiet(net, exec, n, quiet, changed);
+  }
+  // Referee: the reliable relaxation replayed sequentially in memory — no
+  // simulated traffic — with its via tie-breaking, and the healed distance
+  // fronts must match it exactly. Healed entries are always realized by
+  // ≤h-hop walks, so any divergence means the stability heuristic fired
+  // before convergence. The referee's result is what gets returned: healed
+  // vias depend on which copy survived the drop pattern, while the callers'
+  // determinism contract promises labels bit-identical to the fault-free
+  // run.
+  dense_store ref(n, s_count, /*keep_via=*/true);
+  round_executor seq = sequential_executor();
+  relax_rounds(ref, &sources, h, graph_neighbors(g), false, seq, no_charge);
+  for (u32 v = 0; v < n; ++v)
+    for (u32 i = 0; i < s_count; ++i)
+      if ((cur[v][i].pairs.empty() ? kInfDist
+                                   : cur[v][i].pairs.front().dist) !=
+          ref.dist[v][i])
+        throw fault_failure(
+            "limited_bellman_ford healing stabilized before convergence");
+  for (; used < h; ++used) net.advance_round();
+  if (used > h) net.note_extra_rounds(used - h);
+  return source_lists(ref);
+}
+
+/// One self-healing exploration attempt: re-offer rounds until a
+/// crash-aware quiet window, then validate against the referee's fixed
+/// point. Each node's sources are keyed by id but enumerated in insertion
+/// (discovery) order — a pure function of the merge history, so the
+/// per-edge offer enumeration, and with it every fault draw index, is
+/// thread-count-invariant. Returns normally on success; throws
+/// fault_failure on budget exhaustion or premature stability (the caller
+/// retries with fresh fault draws — the round counter moved).
+/// `rounds_spent` accumulates even on throw so the caller can account every
+/// burned round as healing overhead.
 void healed_exploration_attempt(hybrid_net& net, u32 h,
                                 const std::vector<u32>* sources,
                                 bool unit_weights,
@@ -162,11 +392,11 @@ void healed_exploration_attempt(hybrid_net& net, u32 h,
   const u32 n = g.num_nodes();
   const fault_options& fo = net.faults();
   round_executor& exec = net.executor();
-  std::vector<healed_source_sets> cur(n);
+  std::vector<flat_u64_map<pareto_set>> cur(n);
   if (sources) {
-    for (u32 s : *sources) cur[s].insert(s, 0, 0, 0);
+    for (u32 s : *sources) cur[s][s].insert(0, 0, 0);
   } else {
-    for (u32 v = 0; v < n; ++v) cur[v].insert(v, 0, 0, 0);
+    for (u32 v = 0; v < n; ++v) cur[v][v].insert(0, 0, 0);
   }
   // (source, dist, hops) acceptances staged per round, merged after the
   // barrier (steps read other nodes' cur, docs/CONCURRENCY.md).
@@ -192,29 +422,31 @@ void healed_exploration_attempt(hybrid_net& net, u32 h,
         // Offered set: every held pair that can still be extended within
         // the hop budget. Enumerate once for the count (the adversarial
         // mode needs it), once for the pulls.
-        const healed_source_sets& from = cur[e.to];
+        const std::span<const flat_u64_map<pareto_set>::entry> from =
+            cur[e.to].entries();
         u32 count = 0;
-        for (const std::vector<healed_pareto_entry>& set : from.sets)
-          for (const healed_pareto_entry& pe : set)
-            if (pe.hops < h) ++count;
+        for (const flat_u64_map<pareto_set>::entry& offer : from)
+          for (const pareto_set::pair& p : offer.value.pairs)
+            if (p.hops < h) ++count;
         mine += count;
         const u64 w = unit_weights ? 1 : e.weight;
         u32 idx = 0;
-        for (u32 k = 0; k < from.sources.size(); ++k)
-          for (const healed_pareto_entry& pe : from.sets[k]) {
-            if (pe.hops >= h) continue;
+        for (const auto& [source, set] : from)
+          for (const pareto_set::pair& p : set.pairs) {
+            if (p.hops >= h) continue;
             // A pair first crosses edges in the iteration after its merge;
             // any later crossing is a retransmission (counted whether or
             // not this copy is then dropped — it did cross the edge).
-            if (pe.stamp + 1 < it) ++retx[v];
+            if (p.stamp + 1 < it) ++retx[v];
             if (net.local_drop(e.to, v, idx++, count)) {
               ++dropped[v];
               continue;
             }
-            const u64 nd = pe.dist + w;
-            const u32 nh = pe.hops + 1;
-            if (!cur[v].dominated(from.sources[k], nd, nh))
-              add[v].push_back({from.sources[k], nd, nh});
+            const u64 nd = p.dist + w;
+            const u32 nh = p.hops + 1;
+            const pareto_set* held = cur[v].find(source);
+            if (!held || !held->dominates(nd, nh))
+              add[v].push_back({static_cast<u32>(source), nd, nh});
           }
       }
       return mine;
@@ -237,8 +469,9 @@ void healed_exploration_attempt(hybrid_net& net, u32 h,
     exec.for_nodes(n, [&](u32 v) {
       changed[v] = 0;
       for (const auto& [s, nd, nh] : add[v]) {
-        if (cur[v].dominated(s, nd, nh)) continue;
-        cur[v].insert(s, nd, nh, it);
+        pareto_set& set = cur[v][s];
+        if (set.dominates(nd, nh)) continue;
+        set.insert(nd, nh, it);
         changed[v] = 1;
       }
     });
@@ -250,12 +483,12 @@ void healed_exploration_attempt(hybrid_net& net, u32 h,
   // healed state IS the fixed point. Anything less is premature stability.
   for (u32 v = 0; v < n; ++v) {
     const std::span<const exploration_entry> want = ref.reached(v);
-    if (cur[v].sources.size() != want.size())
+    if (cur[v].size() != want.size())
       throw fault_failure(
           "local exploration healing stabilized before reaching the h-ball");
     for (const exploration_entry& e : want) {
-      const u32 k = cur[v].find(e.source);
-      if (k == ~u32{0} || cur[v].sets[k].front().dist != e.dist)
+      const pareto_set* got = cur[v].find(e.source);
+      if (!got || got->pairs.front().dist != e.dist)
         throw fault_failure(
             "local exploration healing stabilized before convergence");
     }
@@ -353,83 +586,74 @@ sparse_exploration_result healed_local_exploration(
   return ref;
 }
 
+std::vector<std::vector<source_distance>> limited_bellman_ford(
+    hybrid_net& net, const std::vector<u32>& sources, u32 h,
+    bool advance_rounds) {
+  if (net.local_faults_active()) {
+    // With a frozen round counter the fault stream would re-roll the same
+    // draws every iteration — a dropped edge stays dropped forever and no
+    // amount of re-offering heals it. The remediation its former
+    // fault_unsupported refusal named (run with advance_rounds=true) is now
+    // honored automatically: the healed path runs with real rounds, and
+    // because the caller asked for a frozen counter its nominal budget is 0
+    // — every round actually consumed surfaces as extra_rounds, so metrics
+    // record the whole cost of the fallback (docs/FAULTS.md §3).
+    if (!advance_rounds) {
+      const u64 r0 = net.round();
+      const u64 x0 = net.raw_metrics().extra_rounds;
+      auto out = healed_limited_bellman_ford(net, sources, h);
+      const u64 spent = net.round() - r0;
+      const u64 noted = net.raw_metrics().extra_rounds - x0;
+      if (spent > noted) net.note_extra_rounds(spent - noted);
+      return out;
+    }
+    return healed_limited_bellman_ford(net, sources, h);
+  }
+  dense_store dist(net.n(), static_cast<u32>(sources.size()),
+                   /*keep_via=*/true);
+  relax_rounds(dist, &sources, h, graph_neighbors(net.g()), false,
+               net.executor(), charge_rounds(net, advance_rounds));
+  return source_lists(dist);
+}
+
+std::vector<std::vector<u64>> full_local_exploration(
+    hybrid_net& net, u32 h, bool advance_rounds,
+    std::vector<std::vector<u32>>* first_hop) {
+  const u32 n = net.n();
+  if (net.local_faults_active()) {
+    // Self-heal through the shared exploration engine and expand its
+    // canonical CSR triples back into the dense matrix shape this primitive
+    // promises. The engine returns the referee's fixed point, so dist and
+    // first_hop are bit-identical to the fault-free run.
+    const sparse_exploration_result got = healed_local_exploration(
+        net, h, advance_rounds, nullptr, first_hop != nullptr);
+    std::vector<std::vector<u64>> dist(n, std::vector<u64>(n, kInfDist));
+    if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
+    for (u32 v = 0; v < n; ++v)
+      for (const exploration_entry& e : got.reached(v)) {
+        dist[v][e.source] = e.dist;
+        if (first_hop) (*first_hop)[v][e.source] = e.first_hop;
+      }
+    return dist;
+  }
+  dense_store dist(n, n, first_hop != nullptr);
+  relax_rounds(dist, nullptr, h, graph_neighbors(net.g()), false,
+               net.executor(), charge_rounds(net, advance_rounds));
+  if (first_hop) *first_hop = std::move(dist.via);
+  return std::move(dist.dist);
+}
+
 sparse_exploration_result sparse_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
   if (net.local_faults_active())
     return healed_local_exploration(net, h, advance_rounds, sources,
                                     first_hops);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  std::vector<sparse_dist_map> dist(n);
-  // As in the dense loops, frontier entries carry the value of the round
-  // that produced them, so information moves exactly one hop per round;
-  // source_distance::source holds the source NODE id here.
-  std::vector<std::vector<source_distance>> frontier(n);
-  if (sources) {
-    require_distinct(*sources, n);
-    for (u32 s : *sources) {
-      dist[s].relax(s, 0, s);
-      frontier[s].push_back({s, 0, s});
-    }
-  } else {
-    for (u32 v = 0; v < n; ++v) {
-      dist[v].relax(v, 0, v);
-      frontier[v].push_back({v, 0, v});
-    }
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      sparse_dist_map& dv = dist[v];
-      for (const edge& e : g.neighbors(v)) {
-        const std::vector<source_distance>& from = frontier[e.to];
-        mine += from.size();
-        for (const source_distance& f : from)
-          if (dv.relax(f.source, f.dist + e.weight, e.to))
-            next[v].push_back({f.source, f.dist + e.weight, e.to});
-      }
-      // Drop superseded entries — a later, smaller update for the same
-      // source makes earlier queued ones redundant (same filter as the
-      // dense loops; dv is final for the round once this step ends).
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    if (advance_rounds) net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any) {
-      if (advance_rounds)
-        for (u32 rest = r + 1; rest < h; ++rest) net.advance_round();
-      break;
-    }
-  }
-  // Flatten the per-node maps into the CSR arena, each node's triples
-  // sorted by source id (canonical order, thread-count-invariant).
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v) out.offsets[v + 1] = out.offsets[v] + dist[v].size();
-  out.entries.resize(out.offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    if (!first_hops)
-      for (u32 k = 0; k < src.size(); ++k) at[k].first_hop = ~u32{0};
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  });
-  return out;
+  if (sources) require_distinct(*sources, net.n());
+  sparse_store dist(net.n());
+  relax_rounds(dist, sources, h, graph_neighbors(net.g()), false,
+               net.executor(), charge_rounds(net, advance_rounds));
+  return flatten(dist, sources, first_hops, net.executor());
 }
 
 sparse_exploration_result dense_local_exploration(
@@ -438,106 +662,39 @@ sparse_exploration_result dense_local_exploration(
   if (net.local_faults_active())
     return healed_local_exploration(net, h, advance_rounds, sources,
                                     first_hops);
-  const u32 n = net.n();
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  if (!sources) {
-    // The n² u32 first-hop matrix is only materialized when asked for.
-    std::vector<std::vector<u32>> first_hop;
-    const std::vector<std::vector<u64>> dist = full_local_exploration(
-        net, h, advance_rounds, first_hops ? &first_hop : nullptr);
-    for (u32 v = 0; v < n; ++v) {
-      u64 reached = 0;
-      for (u32 s = 0; s < n; ++s) reached += dist[v][s] != kInfDist;
-      out.offsets[v + 1] = out.offsets[v] + reached;
-    }
-    out.entries.resize(out.offsets[n]);
-    net.executor().for_nodes(n, [&](u32 v) {
-      exploration_entry* at = out.entries.data() + out.offsets[v];
-      for (u32 s = 0; s < n; ++s)
-        if (dist[v][s] != kInfDist)
-          *at++ = {dist[v][s], s, first_hops ? first_hop[v][s] : ~u32{0}};
-    });
-    return out;
-  }
-  require_distinct(*sources, n);
-  const std::vector<std::vector<source_distance>> got =
-      limited_bellman_ford(net, *sources, h, advance_rounds);
-  for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + got[v].size();
-  out.entries.resize(out.offsets[n]);
-  net.executor().for_nodes(n, [&](u32 v) {
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    for (const source_distance& sd : got[v])
-      *at++ = {sd.dist, (*sources)[sd.source],
-               first_hops ? sd.via : ~u32{0}};
-    std::sort(out.entries.data() + out.offsets[v], at,
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  });
-  return out;
+  if (sources) require_distinct(*sources, net.n());
+  // The n² u32 first-hop rows are only materialized when asked for.
+  dense_store dist(net.n(),
+                   sources ? static_cast<u32>(sources->size()) : net.n(),
+                   first_hops);
+  relax_rounds(dist, sources, h, graph_neighbors(net.g()), false,
+               net.executor(), charge_rounds(net, advance_rounds));
+  return flatten(dist, sources, first_hops, net.executor());
 }
 
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex) {
-  const u32 n = static_cast<u32>(adj.size());
-  std::vector<sparse_dist_map> dist(n);
-  // Same pull-based frontier as sparse_local_exploration, minus the net:
-  // frontier entries carry the value of the iteration that produced them,
-  // so information moves one hop per iteration; `source` is the vertex
-  // index of `adj` (its own id space).
-  std::vector<std::vector<source_distance>> frontier(n);
-  for (u32 v = 0; v < n; ++v) {
-    dist[v].relax(v, 0, v);
-    frontier[v].push_back({v, 0, v});
-  }
-  for (u32 r = 0; r < h; ++r) {
-    std::vector<std::vector<source_distance>> next(n);
-    ex.for_nodes(n, [&](u32 v) {
-      sparse_dist_map& dv = dist[v];
-      for (const auto& [to, w] : adj[v])
-        for (const source_distance& f : frontier[to])
-          if (dv.relax(f.source, f.dist + w, to))
-            next[v].push_back({f.source, f.dist + w, to});
-      next[v].erase(std::remove_if(next[v].begin(), next[v].end(),
-                                   [&](const source_distance& sd) {
-                                     return sd.dist != dv.dist_of(sd.source);
-                                   }),
-                    next[v].end());
-    });
-    frontier = std::move(next);
-    if (!ex.any_node(n, [&](u32 v) { return !frontier[v].empty(); })) break;
-  }
-  sparse_exploration_result out;
-  out.offsets.assign(n + 1, 0);
-  for (u32 v = 0; v < n; ++v)
-    out.offsets[v + 1] = out.offsets[v] + dist[v].size();
-  out.entries.resize(out.offsets[n]);
-  ex.for_nodes(n, [&](u32 v) {
-    const std::span<const exploration_entry> src = dist[v].entries();
-    exploration_entry* at = out.entries.data() + out.offsets[v];
-    std::copy(src.begin(), src.end(), at);
-    std::sort(at, at + src.size(),
-              [](const exploration_entry& a, const exploration_entry& b) {
-                return a.source < b.source;
-              });
-  });
-  return out;
+  sparse_store dist(static_cast<u32>(adj.size()));
+  relax_rounds(
+      dist, nullptr, h,
+      [&adj](u32 v) -> const std::vector<std::pair<u32, u64>>& {
+        return adj[v];
+      },
+      false, ex, no_charge);
+  return flatten(dist, nullptr, true, ex);
 }
 
 sparse_exploration_result run_local_exploration(hybrid_net& net, u32 h,
                                                 bool advance_rounds,
                                                 const std::vector<u32>* sources,
                                                 bool first_hops) {
-  // Both message-level paths assume reliable neighborhood reads; under
-  // local-plane faults the healed engine takes over before either runs, so
-  // the dense/sparse choice never changes fault behavior (docs/FAULTS.md).
-  if (net.local_faults_active())
-    return healed_local_exploration(net, h, advance_rounds, sources,
-                                    first_hops);
-  return resolve_exploration(net.options(), net.n()) == exploration_path::kDense
+  // Both stores return identical triples and charge identical rounds and
+  // traffic, so the choice is a memory/speed trade only: dense rows win
+  // while balls saturate, the maps bound memory by the h-balls
+  // (docs/ARCHITECTURE.md §6.2). Under local-plane faults either entry
+  // point routes to the healed engine.
+  return net.n() <= kDenseExplorationMaxNodes
              ? dense_local_exploration(net, h, advance_rounds, sources,
                                        first_hops)
              : sparse_local_exploration(net, h, advance_rounds, sources,

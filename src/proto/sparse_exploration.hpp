@@ -1,26 +1,29 @@
-// Neighborhood-bounded local exploration (the sparse counterpart of
-// proto/flood.hpp's full_local_exploration / limited_bellman_ford).
+// Local h-hop exploration: the one relaxation kernel of the library.
 //
-// The paper's APSP/k-SSP algorithms spend their local phase on h-hop
-// exploration. The dense primitives keep an n-wide distance vector per node
-// — O(n²) memory by design — which dies long before n ≈ 10⁵ on sparse
-// graphs even though each node only ever hears from its h-ball. This module
-// stores exactly what a node learns: per node v an open-addressed flat map
-// from source id to (dist, first_hop), so total memory is O(Σᵥ|ball_h(v)|)
-// instead of O(n²). The sparse regime is where HYBRID shines (Feldmann et
-// al. 2020, PAPERS.md), and the trick is sound because Kuhn & Schneider's
-// "run local exploration in parallel" step only ever needs the h-ball.
+// The paper's local exploration is one primitive — h synchronous min-plus
+// relaxation rounds from a source set — used by Section 3's APSP
+// exploration, Algorithm 6's skeleton edges and Lemma 4.3's run-in-parallel
+// step. Every entry point here, and limited_bellman_ford /
+// full_local_exploration in proto/flood.hpp, runs the same frontier loop
+// over one of two per-node stores:
+//   * dense rows keyed by source index — O(n · |sources|) memory, the
+//     faster store while balls saturate;
+//   * sparse_dist_map (below) — an open-addressed map from source to
+//     (dist, first_hop), so memory is O(Σᵥ|ball_h(v)|). Each node only ever
+//     hears from its h-ball, which is what lets sparse graphs reach
+//     n ≈ 10⁵ (Feldmann et al. 2020, PAPERS.md).
+// run_local_exploration, what the cores call, picks the dense rows for
+// n ≤ kDenseExplorationMaxNodes and the maps beyond (docs/ARCHITECTURE.md
+// §6.2).
 //
 // Equivalence contract (differentially tested in
-// tests/sparse_exploration_test.cpp, gated in CI):
-//   * the sparse path produces the same (source, dist, first_hop) triples
-//     as the dense path, bit for bit, at every thread count;
-//   * it charges the same local traffic and advances the same rounds —
-//     the round loop is structurally identical, only the per-node distance
-//     storage differs;
-//   * tie-breaks are identical: the first neighbor in sorted adjacency
-//     order that strictly improves a source's distance becomes the first
-//     hop, exactly as in the dense pull loops (docs/CONCURRENCY.md §3).
+// tests/sparse_exploration_test.cpp, gated in CI): one loop with two stores
+// produces the same (source, dist, first_hop) triples, bit for bit, at
+// every thread count, and charges the same local traffic and rounds — the
+// stores differ only in where a node keeps its distances. Tie-breaks
+// follow from the loop: the first neighbor in sorted adjacency order that
+// strictly improves a source's distance becomes the first hop
+// (docs/CONCURRENCY.md §3).
 #pragma once
 
 #include <span>
@@ -91,32 +94,30 @@ struct sparse_exploration_result {
 
 /// h rounds of exploration from `sources` (nullptr = every node explores,
 /// the full_local_exploration workload; otherwise the limited_bellman_ford
-/// workload — sources must be distinct). Per-node distance state lives in
-/// sparse_dist_maps, so memory is bounded by the h-ball sizes. Round and
-/// traffic accounting matches the dense primitives exactly; with
-/// `advance_rounds` false only traffic is charged (the paper's
-/// run-in-parallel trick, Lemma 4.3). With `first_hops` false every
-/// entry's first_hop is ~0 — callers that only consume (source, dist)
-/// spare the dense reference path its n² first-hop matrix, and the
-/// cross-path bit-identity contract holds in either mode.
+/// workload — sources must be distinct) on the sparse_dist_map store, so
+/// memory is bounded by the h-ball sizes. With `advance_rounds` false only
+/// traffic is charged (the paper's run-in-parallel trick, Lemma 4.3). With
+/// `first_hops` false every entry's first_hop is ~0 — callers that only
+/// consume (source, dist) spare the dense store its n² first-hop rows, and
+/// the cross-store bit-identity contract holds in either mode.
 sparse_exploration_result sparse_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
 
-/// The dense reference path behind the same interface: runs
-/// full_local_exploration (or limited_bellman_ford for a source subset)
-/// and flattens the n-wide rows into the sparse triple format. O(n²)
-/// memory — callers bound n; kept for small instances and for
-/// differentially testing the sparse path.
+/// The same exploration on the dense store (rows keyed by source index,
+/// O(n · |sources|) memory), flattened into the same triple format. The
+/// faster store while balls saturate, and the differential reference for
+/// the sparse one.
 sparse_exploration_result dense_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
 
-/// What the cores call: dispatches on resolve_exploration(net.options(),
-/// net.n()). Both paths return identical triples and charge identical
-/// rounds/messages, so the choice is a memory/speed trade only. Under
-/// local-plane faults every entry point routes to healed_local_exploration
-/// below, so the choice of path never changes fault behavior either.
+/// What the cores call: the dense store for n ≤ kDenseExplorationMaxNodes,
+/// the sparse one beyond. Both return identical triples and charge
+/// identical rounds/messages, so the choice is a memory/speed trade only.
+/// Under local-plane faults every entry point routes to
+/// healed_local_exploration below, so the store never changes fault
+/// behavior either.
 sparse_exploration_result run_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources = nullptr, bool first_hops = true);
@@ -129,8 +130,8 @@ sparse_exploration_result run_local_exploration(
 /// weight) pairs; entries come back sorted by source INDEX (the vertices of
 /// `adj` are their own id space), first_hop = the producing neighbor index
 /// (self at the source). Deterministic and bit-identical at every thread
-/// count of `ex` — the relaxation loop is the pull-based frontier of
-/// limited_bellman_ford with per-node state private to each for_nodes item.
+/// count of `ex` — the same relaxation kernel on the sparse store, with
+/// nothing charged.
 sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex);

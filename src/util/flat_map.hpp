@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -118,6 +119,10 @@ class flat_u64_map {
 
   u32 size() const { return static_cast<u32>(entries_.size()); }
   bool empty() const { return entries_.empty(); }
+
+  /// The live entries; in insertion order until the first erase() (which
+  /// swap-removes).
+  std::span<const entry> entries() const { return entries_; }
 
   /// Forget all entries but keep both arrays' capacity (scratch reuse).
   void clear() {

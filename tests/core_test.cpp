@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/apsp.hpp"
 #include "core/apsp_baseline.hpp"
@@ -99,6 +100,14 @@ struct kssp_case {
   u64 max_w;  // 1 = unweighted
   bool inject;
 };
+
+// Names each case (e.g. "er_w9_inject") for CTest, which otherwise prints
+// the raw bytes of the parameter, indeterminate padding included.
+void PrintTo(const kssp_case& c, std::ostream* os) {
+  static constexpr const char* kKinds[] = {"er", "grid", "path"};
+  *os << kKinds[c.graph_kind] << "_w" << c.max_w
+      << (c.inject ? "_inject" : "_plain");
+}
 
 class KsspApprox : public ::testing::TestWithParam<kssp_case> {};
 

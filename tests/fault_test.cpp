@@ -670,6 +670,53 @@ TEST(FaultHealing, AdversarialPrefixFailsExplicitly) {
   EXPECT_THROW(table_flood(net3, {0}, {4}, 6), fault_failure);
 }
 
+TEST(FaultHealing, HealedFaultDrawSequencesPinned) {
+  // Every healed re-offer loop draws local_drop(from, to, idx, count) with
+  // idx its position in the per-edge offer enumeration, so reordering that
+  // enumeration silently moves which copies are lost and every downstream
+  // counter. The fixed (graph, seed, fault_seed) below pins the counters of
+  // each healed primitive. A change that reorders offers on purpose must
+  // re-derive these literals and refresh bench/baseline's fault fields.
+  const graph g = gen::erdos_renyi_connected(40, 3.0, 7, 29);
+  struct counters {
+    u64 rounds, local_dropped, retransmitted, extra_rounds;
+    bool operator==(const counters&) const = default;
+  };
+  auto healed = [&](const auto& run) {
+    hybrid_net net(g, default_cfg(), 5,
+                   with_faults(drop_local_opts(0.2, 3), 2));
+    run(net);
+    const run_metrics& m = net.raw_metrics();
+    return counters{m.rounds, m.local_dropped, m.retransmitted,
+                    m.extra_rounds};
+  };
+  const std::vector<u32> sources = {2, 11, 30};
+  const counters got[] = {
+      healed([&](hybrid_net& net) { limited_bellman_ford(net, sources, 6); }),
+      healed([&](hybrid_net& net) { run_local_exploration(net, 4, true); }),
+      healed([&](hybrid_net& net) {
+        run_local_exploration(net, 5, true, &sources);
+      }),
+      healed([&](hybrid_net& net) { hop_discovery(net, {0, 17}, 8); }),
+      healed([&](hybrid_net& net) {
+        table_flood(net, {3, 21}, {5, 2}, 6);
+      }),
+  };
+  const counters want[] = {
+      {19, 1352, 0, 13},      // limited_bellman_ford, 3 sources, h = 6
+      {18, 9915, 46288, 14},  // run_local_exploration, all sources, h = 4
+      {18, 1178, 5433, 13},   // run_local_exploration, 3 sources, h = 5
+      {14, 523, 0, 6},        // hop_discovery, 2 seeds, 8 rounds
+      {15, 571, 0, 9},        // table_flood, 2 publishers, 6 rounds
+  };
+  for (u32 k = 0; k < 5; ++k) {
+    EXPECT_EQ(got[k], want[k])
+        << "primitive " << k << ": {" << got[k].rounds << ", "
+        << got[k].local_dropped << ", " << got[k].retransmitted << ", "
+        << got[k].extra_rounds << "}";
+  }
+}
+
 // ---- healed aggregation ----------------------------------------------------
 
 TEST(FaultAggregation, AllOpsMatchFaultFreeUnderDrops) {

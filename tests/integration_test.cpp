@@ -193,8 +193,11 @@ TEST(Integration, DiameterBranchSwitchesWithEta) {
 
 // ---- exactness across the full family matrix ---------------------------------
 
+// Both fields are u64 so the struct has no padding: CTest names each case
+// by the raw bytes of its parameter, and indeterminate padding bytes would
+// give the case a different name on every run.
 struct family_case {
-  int kind;
+  u64 kind;
   u64 max_w;
 };
 

@@ -1,12 +1,15 @@
-// Differential suite for the sparse (neighborhood-bounded) exploration path
-// against the dense reference (proto/sparse_exploration.hpp): identical
-// (source, dist, first_hop) triples and identical round/message metrics on
-// randomized and adversarial graphs, at threads ∈ {1, 2, 8}; plus the
-// foregrounded edge cases (h = 0, single-node components, isolated
+// Differential suite for the two per-node stores of the relaxation kernel
+// (proto/sparse_exploration.hpp): sparse_local_exploration against the
+// dense reference dense_local_exploration — identical (source, dist,
+// first_hop) triples and identical round/message metrics on randomized and
+// adversarial graphs, at threads ∈ {1, 2, 8}; run_local_exploration's
+// internal store choice on both sides of kDenseExplorationMaxNodes; plus
+// the foregrounded edge cases (h = 0, single-node components, isolated
 // vertices, early-exit round accounting, first-hop tie-breaks) and the
 // sparse_dist_map unit semantics. Runs in the TSAN CI job at 8 threads.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "core/apsp.hpp"
@@ -21,12 +24,19 @@ namespace {
 
 model_config cfg() { return model_config{}; }
 
-sim_options opts(u32 threads, exploration_path path) {
+sim_options opts(u32 threads) {
   sim_options o;
   o.threads = threads;
-  o.exploration = path;
   return o;
 }
+
+/// An exploration entry point: one of the two named stores, or
+/// run_local_exploration's internal choice between them.
+using explore_fn = sparse_exploration_result (*)(hybrid_net&, u32, bool,
+                                                 const std::vector<u32>*,
+                                                 bool);
+constexpr explore_fn kStores[] = {dense_local_exploration,
+                                  sparse_local_exploration};
 
 struct run_out {
   sparse_exploration_result res;
@@ -34,11 +44,12 @@ struct run_out {
 };
 
 run_out run_path(const graph& g, u32 h, bool advance_rounds, u32 threads,
-                 exploration_path path,
-                 const std::vector<u32>* sources = nullptr) {
-  hybrid_net net(g, cfg(), 1, opts(threads, path));
+                 explore_fn explore,
+                 const std::vector<u32>* sources = nullptr,
+                 bool first_hops = true) {
+  hybrid_net net(g, cfg(), 1, opts(threads));
   run_out o;
-  o.res = run_local_exploration(net, h, advance_rounds, sources);
+  o.res = explore(net, h, advance_rounds, sources, first_hops);
   o.m = net.snapshot();
   return o;
 }
@@ -51,17 +62,17 @@ void expect_metrics_eq(const run_metrics& a, const run_metrics& b) {
   EXPECT_EQ(a.max_global_recv_per_round, b.max_global_recv_per_round);
 }
 
-/// Both paths, every tested thread count, one dense@1 reference.
+/// Both stores, every tested thread count, one dense@1 reference.
 void differential(const graph& g, u32 h,
                   const std::vector<u32>* sources = nullptr) {
-  const run_out ref = run_path(g, h, true, 1, exploration_path::kDense,
+  const run_out ref = run_path(g, h, true, 1, dense_local_exploration,
                                sources);
   for (u32 threads : {1u, 2u, 8u})
-    for (exploration_path path :
-         {exploration_path::kDense, exploration_path::kSparse}) {
-      const run_out got = run_path(g, h, true, threads, path, sources);
+    for (explore_fn explore : kStores) {
+      const run_out got = run_path(g, h, true, threads, explore, sources);
       ASSERT_EQ(got.res, ref.res)
-          << "threads=" << threads << " sparse=" << (path != exploration_path::kDense);
+          << "threads=" << threads
+          << " sparse=" << (explore == sparse_local_exploration);
       expect_metrics_eq(got.m, ref.m);
     }
 }
@@ -101,7 +112,7 @@ TEST(SparseExplorationDiff, DisconnectedWithIsolatedVertices) {
   differential(g, 4);
   // Isolated vertices (7, 8) reach exactly themselves; components do not
   // leak into each other.
-  const run_out got = run_path(g, 4, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 4, true, 1, sparse_local_exploration);
   for (u32 v : {7u, 8u}) {
     ASSERT_EQ(got.res.reached(v).size(), 1u);
     EXPECT_EQ(got.res.reached(v)[0],
@@ -118,7 +129,7 @@ TEST(SparseExplorationDiff, SourceSubset) {
   differential(g, 4, &sources);
   // Distances agree with the centralized d_h reference.
   const run_out got =
-      run_path(g, 4, true, 1, exploration_path::kSparse, &sources);
+      run_path(g, 4, true, 1, sparse_local_exploration, &sources);
   for (u32 s : sources) {
     const std::vector<u64> ref = limited_distance(g, s, 4);
     for (u32 v = 0; v < 90; ++v) {
@@ -132,7 +143,7 @@ TEST(SparseExplorationDiff, SourceSubset) {
 
 TEST(SparseExplorationDiff, MatchesCentralizedReferenceAllSources) {
   const graph g = gen::erdos_renyi_connected(60, 4.5, 5, 31);
-  const run_out got = run_path(g, 4, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 4, true, 1, sparse_local_exploration);
   for (u32 s = 0; s < 60; ++s) {
     const std::vector<u64> ref = limited_distance(g, s, 4);
     for (u32 v = 0; v < 60; ++v) {
@@ -149,7 +160,7 @@ TEST(SparseExplorationDiff, MatchesCentralizedReferenceAllSources) {
 TEST(SparseExplorationEdge, HZeroReachesSelfOnly) {
   const graph g = gen::erdos_renyi_connected(30, 4.0, 3, 2);
   differential(g, 0);
-  const run_out got = run_path(g, 0, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 0, true, 1, sparse_local_exploration);
   EXPECT_EQ(got.m.rounds, 0u);
   EXPECT_EQ(got.m.local_items, 0u);
   ASSERT_EQ(got.res.total_reached(), 30u);
@@ -164,7 +175,7 @@ TEST(SparseExplorationEdge, SingleNodeComponents) {
   // components: each node's whole h-ball is itself for every h.
   const graph g = graph::from_edges(2, std::vector<edge_spec>{});
   differential(g, 3);
-  const run_out got = run_path(g, 3, true, 1, exploration_path::kSparse);
+  const run_out got = run_path(g, 3, true, 1, sparse_local_exploration);
   EXPECT_EQ(got.res.total_reached(), 2u);
   // Budgeted rounds elapse silently even though the frontier died at once.
   EXPECT_EQ(got.m.rounds, 3u);
@@ -174,20 +185,18 @@ TEST(SparseExplorationEdge, EarlyExitRoundAccounting) {
   // Path of 6: the frontier saturates after 5 rounds, but the fixed budget
   // h = 20 still elapses in full when rounds advance...
   const graph g = gen::path(6, 4, 7);
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    run_local_exploration(net, 20, /*advance_rounds=*/true);
+  for (explore_fn explore : kStores) {
+    hybrid_net net(g, cfg(), 1, opts(1));
+    explore(net, 20, /*advance_rounds=*/true, nullptr, true);
     EXPECT_EQ(net.round(), 20u);
   }
   // ...and is not charged at all in run-in-parallel mode, where only
   // traffic is charged.
   run_metrics parallel_m[2];
   int i = 0;
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    run_local_exploration(net, 20, /*advance_rounds=*/false);
+  for (explore_fn explore : kStores) {
+    hybrid_net net(g, cfg(), 1, opts(1));
+    explore(net, 20, /*advance_rounds=*/false, nullptr, true);
     parallel_m[i++] = net.snapshot();
     EXPECT_EQ(net.round(), 0u);
     EXPECT_GT(net.raw_metrics().local_items, 0u);
@@ -208,9 +217,8 @@ TEST(SparseExplorationEdge, FirstHopTieBreakDeterminism) {
   for (const graph& g : {unweighted, weighted}) {
     differential(g, 3);
     for (u32 threads : {1u, 2u, 8u})
-      for (exploration_path path :
-           {exploration_path::kDense, exploration_path::kSparse}) {
-        const run_out got = run_path(g, 3, true, threads, path);
+      for (explore_fn explore : kStores) {
+        const run_out got = run_path(g, 3, true, threads, explore);
         u32 hop = ~u32{0};
         for (const exploration_entry& e : got.res.reached(3))
           if (e.source == 0) hop = e.first_hop;
@@ -226,17 +234,15 @@ TEST(SparseExplorationEdge, NoFirstHopsModeStaysBitIdentical) {
   const graph g = gen::erdos_renyi_connected(70, 4.0, 5, 3);
   sparse_exploration_result res[2];
   int i = 0;
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    res[i++] = run_local_exploration(net, 4, true, nullptr,
-                                     /*first_hops=*/false);
-  }
+  for (explore_fn explore : kStores)
+    res[i++] = run_path(g, 4, true, 1, explore, nullptr,
+                        /*first_hops=*/false)
+                   .res;
   ASSERT_EQ(res[0], res[1]);
   for (const exploration_entry& e : res[0].entries)
     ASSERT_EQ(e.first_hop, ~u32{0});
   // Same triples as the first_hops mode, minus the hop field.
-  const run_out with = run_path(g, 4, true, 1, exploration_path::kSparse);
+  const run_out with = run_path(g, 4, true, 1, sparse_local_exploration);
   ASSERT_EQ(res[0].offsets, with.res.offsets);
   for (u64 k = 0; k < res[0].entries.size(); ++k) {
     ASSERT_EQ(res[0].entries[k].source, with.res.entries[k].source);
@@ -247,11 +253,9 @@ TEST(SparseExplorationEdge, NoFirstHopsModeStaysBitIdentical) {
 TEST(SparseExplorationEdge, RejectsDuplicateSources) {
   const graph g = gen::path(8);
   const std::vector<u32> dup{2, 2};
-  for (exploration_path path :
-       {exploration_path::kDense, exploration_path::kSparse}) {
-    hybrid_net net(g, cfg(), 1, opts(1, path));
-    EXPECT_THROW(run_local_exploration(net, 2, true, &dup),
-                 std::invalid_argument);
+  for (explore_fn explore : kStores) {
+    hybrid_net net(g, cfg(), 1, opts(1));
+    EXPECT_THROW(explore(net, 2, true, &dup, true), std::invalid_argument);
   }
 }
 
@@ -288,43 +292,66 @@ TEST(SparseDistMap, ClearReuses) {
   EXPECT_EQ(m.size(), 1u);
 }
 
-// ---- the rewired cores agree across paths --------------------------------------
+// ---- run_local_exploration's store choice ------------------------------------
 
-TEST(SparseExplorationCores, ApspExactIdenticalAcrossPaths) {
-  const graph g = gen::erdos_renyi_connected(80, 4.0, 6, 17);
-  const apsp_result dense = hybrid_apsp_exact(
-      g, cfg(), 3, /*build_routes=*/true, opts(1, exploration_path::kDense));
-  for (u32 threads : {1u, 8u}) {
-    const apsp_result sparse = hybrid_apsp_exact(
-        g, cfg(), 3, true, opts(threads, exploration_path::kSparse));
-    ASSERT_EQ(sparse.dist, dense.dist);
-    ASSERT_EQ(sparse.next_hop, dense.next_hop);
-    expect_metrics_eq(sparse.metrics, dense.metrics);
+TEST(SparseExplorationDiff, StoreChoiceAboveDenseCutoff) {
+  // n = kDenseExplorationMaxNodes + 1 is the smallest network on which
+  // run_local_exploration takes the sparse maps. The internal choice and
+  // both named stores must agree there: triples and every metric field.
+  const u32 n = kDenseExplorationMaxNodes + 1;
+  const graph g = gen::bounded_degree(n, 3, 5, 19);
+  const auto all_fields = [](const run_metrics& m) {
+    return std::make_tuple(m.rounds, m.global_messages, m.global_payload_words,
+                           m.local_items, m.max_global_recv_per_round,
+                           m.cut_bits, m.global_sent, m.global_dropped,
+                           m.local_delivered, m.local_dropped,
+                           m.retransmitted, m.extra_rounds, m.phases.size());
+  };
+  const run_out ref = run_path(g, 3, true, 2, dense_local_exploration,
+                               nullptr, /*first_hops=*/false);
+  ASSERT_GT(ref.res.total_reached(), u64{n});
+  for (explore_fn explore : {explore_fn{sparse_local_exploration},
+                             explore_fn{run_local_exploration}}) {
+    const run_out got =
+        run_path(g, 3, true, 2, explore, nullptr, /*first_hops=*/false);
+    ASSERT_EQ(got.res, ref.res);
+    EXPECT_EQ(all_fields(got.m), all_fields(ref.m));
   }
 }
 
-TEST(SparseExplorationCores, ApspBaselineIdenticalAcrossPaths) {
-  const graph g = gen::grid(8, 8, 4, 13);
-  const apsp_baseline_result dense =
-      baseline_apsp_ahkss(g, cfg(), 5, opts(1, exploration_path::kDense));
-  const apsp_baseline_result sparse =
-      baseline_apsp_ahkss(g, cfg(), 5, opts(8, exploration_path::kSparse));
-  ASSERT_EQ(sparse.dist, dense.dist);
-  expect_metrics_eq(sparse.metrics, dense.metrics);
+// ---- the rewired cores agree across thread counts ----------------------------
+//
+// The cores take whichever store run_local_exploration picks (the stores
+// themselves are differentially tested above); one run per thread count.
+
+TEST(SparseExplorationCores, ApspExactIdenticalAcrossThreads) {
+  const graph g = gen::erdos_renyi_connected(80, 4.0, 6, 17);
+  const apsp_result ref =
+      hybrid_apsp_exact(g, cfg(), 3, /*build_routes=*/true, opts(1));
+  const apsp_result got = hybrid_apsp_exact(g, cfg(), 3, true, opts(8));
+  ASSERT_EQ(got.dist, ref.dist);
+  ASSERT_EQ(got.next_hop, ref.next_hop);
+  expect_metrics_eq(got.metrics, ref.metrics);
 }
 
-TEST(SparseExplorationCores, KsspIdenticalAcrossPaths) {
+TEST(SparseExplorationCores, ApspBaselineIdenticalAcrossThreads) {
+  const graph g = gen::grid(8, 8, 4, 13);
+  const apsp_baseline_result ref = baseline_apsp_ahkss(g, cfg(), 5, opts(1));
+  const apsp_baseline_result got = baseline_apsp_ahkss(g, cfg(), 5, opts(8));
+  ASSERT_EQ(got.dist, ref.dist);
+  expect_metrics_eq(got.metrics, ref.metrics);
+}
+
+TEST(SparseExplorationCores, KsspIdenticalAcrossThreads) {
   const graph g = gen::erdos_renyi_connected(96, 4.0, 5, 7);
   const auto alg = make_clique_kssp_1eps(0.25, injection::none);
   const std::vector<u32> sources{4, 31, 77};
-  const kssp_result dense = hybrid_kssp(g, cfg(), 7, sources, alg, false,
-                                        opts(1, exploration_path::kDense));
-  for (u32 threads : {1u, 8u}) {
-    const kssp_result sparse = hybrid_kssp(g, cfg(), 7, sources, alg, false,
-                                           opts(threads, exploration_path::kSparse));
-    ASSERT_EQ(sparse.dist, dense.dist);
-    expect_metrics_eq(sparse.metrics, dense.metrics);
-  }
+  const kssp_result ref =
+      hybrid_kssp(g, cfg(), 7, sources, alg, false, opts(1));
+  const kssp_result got =
+      hybrid_kssp(g, cfg(), 7, sources, alg, false, opts(8));
+  ASSERT_EQ(got.dist, ref.dist);
+  expect_metrics_eq(got.metrics, ref.metrics);
 }
 
 }  // namespace
