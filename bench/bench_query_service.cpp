@@ -210,7 +210,8 @@ int main(int argc, char** argv) {
 
   // ---- pure single-thread query throughput ---------------------------------
   // The acceptance floor: ≥ 1 M query()/sec from one thread on the mapped
-  // n = 2048 oracle.
+  // n = 2048 oracle, enforced once the JSON is written (end of main).
+  double pure_qps = 0;
   {
     rng r(31);
     const u64 queries = std::max<u64>(total_requests, 1000000);
@@ -229,8 +230,7 @@ int main(int argc, char** argv) {
     std::cout << "pure query()  : " << table::num(qps / 1e6, 2)
               << " M queries/sec single-thread (" << table::num(ms * 1e6 / static_cast<double>(queries), 0)
               << " ns/query)\n";
-    HYB_INVARIANT(qps >= 1e6,
-                  "mapped oracle below the 1 M queries/sec acceptance floor");
+    pure_qps = qps;
     rec.add("pure_query", {{"n", n},
                            {"queries", queries},
                            {"result_digest", digest32(digest)},
@@ -269,5 +269,11 @@ int main(int argc, char** argv) {
                "invariant and gated vs bench/baseline.\n";
 
   std::remove(path.c_str());
-  return rec.write() ? 0 : 1;
+  if (!rec.write()) return 1;
+  // The floor fails the run only after the JSON is on disk, so a miss (on a
+  // machine shared with other CPU-heavy jobs, say) reaches the report as a
+  // throughput dip, not as a missing file read as deterministic drift.
+  HYB_INVARIANT(pure_qps >= 1e6,
+                "mapped oracle below the 1 M queries/sec acceptance floor");
+  return 0;
 }

@@ -1,10 +1,11 @@
 #include "proto/clustering.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <tuple>
 
 #include "proto/aggregation.hpp"
 #include "proto/flood.hpp"
+#include "proto/sparse_exploration.hpp"
 #include "util/assert.hpp"
 
 namespace hybrid {
@@ -53,51 +54,29 @@ cluster_decomposition compute_clusters(hybrid_net& net,
 std::vector<std::vector<item128>> cluster_flood(
     hybrid_net& net, const cluster_decomposition& cd,
     std::vector<std::vector<item128>> initial, u32 rounds) {
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
+  const u32 n = net.n();
   HYB_REQUIRE(initial.size() == n, "initial items must cover every node");
-
-  std::vector<std::unordered_set<item128, item128_hash>> seen(n);
-  std::vector<std::vector<item128>> known(n);
-  std::vector<std::vector<item128>> frontier(n);
-  for (u32 v = 0; v < n; ++v) {
+  // Item k floods from roots[k]; the kernel carries its index.
+  std::vector<u32> roots;
+  std::vector<item128> items;
+  for (u32 v = 0; v < n; ++v)
     for (const item128& it : initial[v]) {
-      if (seen[v].insert(it).second) {
-        known[v].push_back(it);
-        frontier[v].push_back(it);
-      }
+      roots.push_back(v);
+      items.push_back(it);
     }
-  }
-  for (u32 r = 0; r < rounds; ++r) {
-    std::vector<std::vector<item128>> next(n);
-    u64 items = 0;
-    bool any = false;
-    for (u32 v = 0; v < n; ++v) {
-      if (frontier[v].empty()) continue;
-      for (const edge& e : g.neighbors(v)) {
-        if (cd.cluster_of[e.to] != cd.cluster_of[v]) continue;
-        items += frontier[v].size();
-        for (const item128& it : frontier[v]) {
-          if (seen[e.to].insert(it).second) {
-            known[e.to].push_back(it);
-            next[e.to].push_back(it);
-            any = true;
-          }
-        }
-      }
-    }
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier = std::move(next);
-    if (!any) {
-      // Saturated early: detecting that globally costs one aggregation.
-      for (u32 extra = aggregation_rounds(n); extra > 0 && r + 1 < rounds;
-           --extra)
-        net.advance_round();
-      break;
-    }
-  }
+  std::vector<item128> sorted(items);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const item128& x, const item128& y) {
+              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+            });
+  HYB_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+              "cluster_flood items must be distinct");
+  const std::vector<sparse_dist_map> heard = flood_rounds(
+      net, roots, rounds, /*early_exit=*/true, nullptr, &cd.cluster_of);
+  std::vector<std::vector<item128>> known(n);
+  for (u32 v = 0; v < n; ++v)
+    for (const exploration_entry& e : heard[v].entries())
+      known[v].push_back(items[e.source]);
   return known;
 }
 

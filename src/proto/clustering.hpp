@@ -42,18 +42,16 @@ struct item128 {
   friend bool operator==(const item128&, const item128&) = default;
 };
 
-struct item128_hash {
-  std::size_t operator()(const item128& x) const {
-    u64 h = x.a * 0x9e3779b97f4a7c15ULL ^ (x.b + 0x517cc1b727220a95ULL);
-    h ^= h >> 29;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::size_t>(h ^ (h >> 32));
-  }
-};
-
 /// Flood items within clusters for `rounds` rounds (items never cross
-/// cluster boundaries). Returns everything each node has heard, own items
-/// included. 2β+1 rounds reach the whole cluster.
+/// cluster boundaries) — the kernel set flood of proto/flood.hpp over
+/// intra-cluster edges, keyed by item index, node-parallel. Items must be
+/// distinct across all nodes. Returns everything each node has heard, own
+/// items first, in learn order: by round, then by neighbor ID, then in the
+/// neighbor's own learn order (compute_helpers draws once per heard item in
+/// this order). 2β+1 rounds reach the whole cluster; a flood that saturates
+/// earlier stops and pays one aggregation to detect it. Reliable by
+/// construction: every item is charged and delivered in full, with no
+/// local-plane fault draws.
 std::vector<std::vector<item128>> cluster_flood(
     hybrid_net& net, const cluster_decomposition& cd,
     std::vector<std::vector<item128>> initial, u32 rounds);

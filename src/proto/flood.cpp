@@ -1,18 +1,14 @@
-// The set floods (hop_discovery, table_flood — one loop, two adapters) and
-// the hello flood behind truncated_eccentricity, pulled node-parallel on
-// the round executor (docs/CONCURRENCY.md). Each node's step reads its
-// neighbors' round-frozen frontiers and writes only its own rows; since
-// adjacency lists are sorted by node ID, the pull order reproduces the
-// classic sequential push order bit-for-bit. The frontier-emptiness checks
-// that drive early exit are any_node reductions — order-insensitive, so
-// thread-count-invariant like every other observable. The relaxation
-// primitives (limited_bellman_ford, full_local_exploration) run the one
-// relaxation kernel in proto/sparse_exploration.cpp.
-// Fault healing (docs/FAULTS.md): under local-plane faults the set flood
-// switches to a re-offer variant — every round every node offers its whole
-// held set to its neighbors (not just the last round's frontier), so an
-// item lost to a drop gets fresh chances every subsequent round. It stops
-// once no node learned anything new for heal_stability_rounds consecutive
+// The LOCAL set floods (hop_discovery, table_flood) and the hello flood
+// behind truncated_eccentricity. On a reliable local plane both set floods
+// are thin adapters over flood_rounds — the one relaxation kernel of
+// proto/sparse_exploration.cpp with unit weights, pulled node-parallel on
+// the round executor (docs/CONCURRENCY.md) — and differ only in what they
+// charge per item and how they shape the result.
+// Fault healing (docs/FAULTS.md): under local-plane faults the set floods
+// switch to a re-offer loop — every round every node offers its whole held
+// set to its neighbors (not just the last round's frontier), so an item
+// lost to a drop gets fresh chances every subsequent round. It stops once
+// no node learned anything new for heal_stability_rounds consecutive
 // rounds (rounds with a crashed node still down never count as quiet),
 // throws fault_failure when heal_budget_mult times the fault-free round
 // budget elapses first, and referees its converged state against the
@@ -78,40 +74,28 @@ std::vector<u64> items_per_component(const std::vector<u32>& comp,
   return count;
 }
 
-/// Flood start shared by both set-flood loops: each root index is held by
-/// its root node at hop 0. `seen` is the n × |roots| byte matrix behind
-/// the O(1) duplicate checks.
-void seed_flood(u32 n, const std::vector<u32>& roots,
-                std::vector<std::vector<discovered_seed>>& known,
-                std::vector<std::vector<char>>& seen) {
-  known.assign(n, {});
-  seen.assign(n, std::vector<char>(roots.size(), 0));
-  for (u32 i = 0; i < roots.size(); ++i) {
-    HYB_REQUIRE(roots[i] < n, "flood root out of range");
-    seen[roots[i]][i] = 1;
-    known[roots[i]].push_back({i, 0});
-  }
-}
-
 /// Self-healing set flood behind hop_discovery and table_flood: every
 /// round every node offers its whole held set (in learn order) to its
 /// neighbors, so an item lost to a drop gets fresh chances every round.
 /// Each offered item costs 1 local item, or words[i] for publisher i's
-/// table. Hop stamps become learn rounds (upper bounds on the true hop
-/// distance). `what` names the primitive in fault_failure messages.
-std::vector<std::vector<discovered_seed>> healed_set_flood(
+/// table. Node v's map holds (index, learn round) in learn order; learn
+/// rounds are upper bounds on the true hop distance. `what` names the
+/// primitive in fault_failure messages.
+std::vector<sparse_dist_map> healed_set_flood(
     hybrid_net& net, const std::vector<u32>& roots, u32 rounds,
     bool early_exit, const std::vector<u64>* words, const std::string& what) {
   const graph& g = net.g();
   const u32 n = g.num_nodes();
   const fault_options& fo = net.faults();
-  std::vector<std::vector<discovered_seed>> known;
-  std::vector<std::vector<char>> seen;
-  seed_flood(n, roots, known, seen);
+  std::vector<sparse_dist_map> known(n);
+  for (u32 i = 0; i < roots.size(); ++i) {
+    HYB_REQUIRE(roots[i] < n, "flood root out of range");
+    known[roots[i]].relax(i, 0, roots[i]);
+  }
   // Staged acceptances: the pull step reads known[u] of *other* nodes, so
   // it must not grow known[v] mid-round (docs/CONCURRENCY.md); new items
   // land in add[v] and merge after the barrier.
-  std::vector<std::vector<discovered_seed>> add(n);
+  std::vector<std::vector<exploration_entry>> add(n);
   std::vector<u8> changed(n, 0);
   std::vector<u64> dropped(n, 0);
   const u64 budget =
@@ -129,16 +113,16 @@ std::vector<std::vector<discovered_seed>> healed_set_flood(
       if (!net.is_up(v)) return 0;
       u64 mine = 0;
       for (const edge& e : g.neighbors(v)) {
-        const std::vector<discovered_seed>& from = known[e.to];
+        const std::span<const exploration_entry> from = known[e.to].entries();
         const u32 count = static_cast<u32>(from.size());
         for (u32 j = 0; j < count; ++j) {
-          const u32 i = from[j].seed;
+          const u32 i = from[j].source;
           mine += words ? (*words)[i] : 1;  // a table crosses whole
           if (net.local_drop(e.to, v, j, count)) {
             ++dropped[v];
             continue;
           }
-          if (!seen[v][i]) add[v].push_back({i, r});
+          if (known[v].dist_of(i) == kInfDist) add[v].push_back({r, i, e.to});
         }
       }
       return mine;
@@ -151,12 +135,8 @@ std::vector<std::vector<discovered_seed>> healed_set_flood(
     net.advance_round();
     exec.for_nodes(n, [&](u32 v) {
       changed[v] = 0;
-      for (const discovered_seed& d : add[v])
-        if (!seen[v][d.seed]) {
-          seen[v][d.seed] = 1;
-          known[v].push_back(d);
-          changed[v] = 1;
-        }
+      for (const exploration_entry& a : add[v])
+        if (known[v].relax(a.source, a.dist, a.first_hop)) changed[v] = 1;
     });
     quiet = heal_next_quiet(net, exec, n, quiet, changed);
   }
@@ -185,59 +165,16 @@ std::vector<std::vector<discovered_seed>> healed_set_flood(
   return known;
 }
 
-/// The fault-free set flood behind hop_discovery and table_flood: each
-/// root index floods `rounds` hops from its root, node v recording
-/// (index, hop) the round it first hears it. Costs as in healed_set_flood.
-std::vector<std::vector<discovered_seed>> set_flood(
-    hybrid_net& net, const std::vector<u32>& roots, u32 rounds,
-    bool early_exit, const std::vector<u64>* words, const std::string& what) {
+/// Both set floods: the kernel on a reliable local plane, the re-offer
+/// loop under local faults.
+std::vector<sparse_dist_map> learn(hybrid_net& net,
+                                   const std::vector<u32>& roots, u32 rounds,
+                                   bool early_exit,
+                                   const std::vector<u64>* words,
+                                   const std::string& what) {
   if (net.local_faults_active())
     return healed_set_flood(net, roots, rounds, early_exit, words, what);
-  const graph& g = net.g();
-  const u32 n = g.num_nodes();
-  std::vector<std::vector<discovered_seed>> known;
-  std::vector<std::vector<char>> seen;
-  seed_flood(n, roots, known, seen);
-  // frontier[v] = root indices first learned by v in the previous round.
-  std::vector<std::vector<u32>> frontier(n);
-  for (u32 v = 0; v < n; ++v)
-    for (const discovered_seed& d : known[v]) frontier[v].push_back(d.seed);
-  for (u32 r = 1; r <= rounds; ++r) {
-    std::vector<std::vector<u32>> next(n);
-    const u64 items = net.executor().sum_nodes(n, [&](u32 v) -> u64 {
-      u64 mine = 0;
-      for (const edge& e : g.neighbors(v)) {
-        for (u32 i : frontier[e.to]) {
-          mine += words ? (*words)[i] : 1;  // a table crosses whole
-          if (!seen[v][i]) {
-            seen[v][i] = 1;
-            known[v].push_back({i, r});
-            next[v].push_back(i);
-          }
-        }
-      }
-      return mine;
-    });
-    net.charge_local(items);
-    net.note_local_delivered(items);
-    net.advance_round();
-    frontier = std::move(next);
-    const bool any = net.executor().any_node(
-        n, [&](u32 v) { return !frontier[v].empty(); });
-    if (!any && r < rounds) {
-      if (early_exit) {
-        // Detecting global saturation costs one AND-aggregation.
-        for (u32 extra = aggregation_rounds(n); extra > 0; --extra)
-          net.advance_round();
-      } else {
-        // Fixed round budgets are part of the protocols: the remaining
-        // rounds are silent but still elapse.
-        for (u32 rest = r + 1; rest <= rounds; ++rest) net.advance_round();
-      }
-      break;
-    }
-  }
-  return known;
+  return flood_rounds(net, roots, rounds, early_exit, words);
 }
 
 }  // namespace
@@ -254,7 +191,15 @@ u32 heal_next_quiet(hybrid_net& net, round_executor& exec, u32 n, u32 quiet,
 std::vector<std::vector<discovered_seed>> hop_discovery(
     hybrid_net& net, const std::vector<u32>& seeds, u32 rounds,
     bool early_exit) {
-  return set_flood(net, seeds, rounds, early_exit, nullptr, "hop_discovery");
+  std::vector<sparse_dist_map> known =
+      learn(net, seeds, rounds, early_exit, nullptr, "hop_discovery");
+  std::vector<std::vector<discovered_seed>> out(known.size());
+  for (u32 v = 0; v < known.size(); ++v) {
+    for (const exploration_entry& e : known[v].entries())
+      out[v].push_back({e.source, static_cast<u32>(e.dist)});
+    known[v] = {};
+  }
+  return out;
 }
 
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,
@@ -263,11 +208,14 @@ std::vector<std::vector<u32>> table_flood(hybrid_net& net,
                                           u32 rounds) {
   HYB_REQUIRE(publishers.size() == table_words.size(),
               "each publisher needs a table size");
-  const std::vector<std::vector<discovered_seed>> known =
-      set_flood(net, publishers, rounds, false, &table_words, "table_flood");
+  std::vector<sparse_dist_map> known =
+      learn(net, publishers, rounds, false, &table_words, "table_flood");
   std::vector<std::vector<u32>> holds(known.size());
-  for (u32 v = 0; v < known.size(); ++v)
-    for (const discovered_seed& d : known[v]) holds[v].push_back(d.seed);
+  for (u32 v = 0; v < known.size(); ++v) {
+    for (const exploration_entry& e : known[v].entries())
+      holds[v].push_back(e.source);
+    known[v] = {};
+  }
   return holds;
 }
 

@@ -2,18 +2,19 @@
 // Model": the unbounded-bandwidth LOCAL mode; used by Algorithms 1, 5, 6
 // and 9).
 //
-// The paper's protocols use the local graph in four ways. Each has an entry
-// point here, and each is a thin adapter over one of two engines that
-// advance simulated rounds and charge traffic, so all LOCAL information
-// flow goes through audited code:
+// One kernel sits behind every fault-free LOCAL flood and exploration: the
+// h-hop relaxation loop of proto/sparse_exploration.cpp, which advances
+// simulated rounds and charges traffic, so all LOCAL information flow goes
+// through audited code. The entry points here are thin adapters over it:
 //
-//  * the set flood (proto/flood.cpp) — every root index spreads T hops and
-//    each node records (index, hop) when it first hears it:
-//    1. hop_discovery        — multi-source BFS flooding; every node learns
+//  * set floods — the kernel with unit weights on the sparse store, keyed
+//    by root index; every node records (index, hop) when it first hears an
+//    index, in learn order:
+//    - hop_discovery        — multi-source BFS flooding; every node learns
 //                              (seed, hop) for seeds within T hops ("flood
 //                              information on R / W", Algorithm 1). Each
 //                              forwarded item costs one local item.
-//    4. table_flood          — skeleton nodes publish an immutable table
+//    - table_flood          — skeleton nodes publish an immutable table
 //                              that floods T hops; recipients get shared
 //                              read-only access (the "distribute distance
 //                              labels to the Õ(x)-neighborhood" step). The
@@ -22,20 +23,22 @@
 //                              optimization, not an information leak,
 //                              because the content is identical for all
 //                              recipients.
-//  * the h-hop relaxation kernel (proto/sparse_exploration.cpp) — h
-//    synchronous min-plus rounds from a source set:
-//    2. limited_bellman_ford — node v learns d_h(v, s) for each source
+//    cluster_flood (proto/clustering.hpp) is the same flood confined to
+//    cluster edges.
+//  * relaxation — h synchronous min-plus rounds from a source set:
+//    - limited_bellman_ford — node v learns d_h(v, s) for each source
 //                              (Algorithm 6's skeleton-edge discovery,
 //                              Algorithm 5's local source exploration).
-//    3. full_local_exploration — every node is a source; afterwards each
-//                              node knows d_h(u, v) for all pairs it can
-//                              see (the APSP algorithm's "local
-//                              exploration", Section 3).
-//    Both keep dense rows keyed by source index; the h-ball-bounded store
-//    behind the same kernel is proto/sparse_exploration.hpp.
+//    The all-sources exploration of the APSP algorithm (Section 3) is
+//    run_local_exploration in proto/sparse_exploration.hpp.
 //
-// Under local-plane faults each engine switches to its self-healing
-// re-offer loop (docs/FAULTS.md §3). All primitives run over the whole
+// The one exception is truncated_eccentricity's hello flood, which keeps
+// its own loop over per-node bitsets: every node floods its ID, so the
+// flood saturates, and at saturation a bitset costs 1 bit per (node, ID)
+// pair while either kernel store costs 16 bytes or more per pair.
+//
+// Under local-plane faults each primitive switches to a self-healing
+// re-offer loop (docs/FAULTS.md §3). All primitives here run over the whole
 // graph; restricting propagation to a cluster is done by the clustering
 // utilities (proto/clustering.hpp).
 #pragma once
@@ -52,7 +55,7 @@ struct discovered_seed {
   u32 hop;
 };
 
-/// (1) Multi-source BFS flood for `rounds` rounds.
+/// Multi-source BFS flood for `rounds` rounds.
 /// Returns per node the seeds heard with their hop distance (ascending hop).
 /// With `early_exit` the flood stops once no node has anything new to
 /// forward; since frontier-emptiness is global information, the saved
@@ -74,7 +77,7 @@ struct source_distance {
                          const source_distance&) = default;
 };
 
-/// (2) h rounds of synchronous Bellman–Ford from `sources`.
+/// h rounds of synchronous Bellman–Ford from `sources`.
 /// Returns per node the h-hop-limited distances to every source it reached.
 /// When `advance_rounds` is false the primitive models the paper's "run the
 /// local exploration in parallel with the rest of the algorithm" trick
@@ -87,18 +90,7 @@ std::vector<std::vector<source_distance>> limited_bellman_ford(
     hybrid_net& net, const std::vector<u32>& sources, u32 h,
     bool advance_rounds = true);
 
-/// (3) Full h-hop-limited APSP: matrix[u][v] = d_h(u, v) (kInfDist when v is
-/// outside u's h-hop horizon). Quadratic memory — callers bound n; for the
-/// neighborhood-bounded O(Σ|ball_h(v)|) variant the cores use, see
-/// proto/sparse_exploration.hpp (bit-identical triples and charging).
-/// When `first_hop` is non-null it receives an n×n matrix with each node's
-/// first hop on a d_h-realizing path to the target (self on the diagonal,
-/// ~0u when unreachable).
-std::vector<std::vector<u64>> full_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    std::vector<std::vector<u32>>* first_hop = nullptr);
-
-/// (4) Flood per-publisher immutable tables for `rounds` rounds.
+/// Flood per-publisher immutable tables for `rounds` rounds.
 /// `table_words[i]` is the accounted size of publisher i's table in 64-bit
 /// words. Returns for each node the publisher indices whose table it holds.
 std::vector<std::vector<u32>> table_flood(hybrid_net& net,

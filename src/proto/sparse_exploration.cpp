@@ -1,15 +1,18 @@
 // The h-hop relaxation engine. Every frontier relaxation in the library —
-// sparse/dense/run_local_exploration, explore_adjacency, and
-// limited_bellman_ford / full_local_exploration (declared in
-// proto/flood.hpp) plus the two healing referees — runs relax_rounds below
-// over one of two per-node stores and, where it returns CSR triples, the
-// one flatten. The healed re-offer loops (Pareto sets per source) live here
-// too, since their referees are that same kernel with charging off.
+// sparse/dense/run_local_exploration, explore_adjacency,
+// limited_bellman_ford (declared in proto/flood.hpp), the unit-weight set
+// flood behind hop_discovery / table_flood / cluster_flood, and the two
+// healing referees — runs relax_rounds below over one of two per-node
+// stores and, where it returns CSR triples, the one flatten. The healed
+// re-offer loops (Pareto sets per source) live here too, since their
+// referees are that same kernel with charging off.
 #include "proto/sparse_exploration.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <tuple>
 
+#include "proto/aggregation.hpp"
 #include "proto/flood.hpp"
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
@@ -94,6 +97,13 @@ struct dense_store {
 
 // ---- the kernel ------------------------------------------------------------------
 
+/// The kernel's default charge: one local item per pulled frontier entry.
+struct entry_count {
+  u64 operator()(const std::vector<exploration_entry>& from) const {
+    return from.size();
+  }
+};
+
 /// h synchronous min-plus relaxation rounds from `sources` (nullptr = every
 /// node, index = node id) into `dist`, pulled node-parallel on `ex`. Each
 /// node reads its neighbors' round-frozen frontiers and writes only its own
@@ -104,14 +114,16 @@ struct dense_store {
 /// one hop per round — the hop budget is what makes d_h well-defined.
 ///
 /// `nbrs(v)` yields v's (neighbor, weight) pairs; `unit_weights` counts
-/// every edge as 1. After each round `end_round(items, idle)` gets the
-/// round's pulled-item count and, when the frontier just died, the number
-/// of budgeted rounds left (0 otherwise) — the charging hook spends them
-/// silently, as fixed round budgets require.
-template <class Store, class Neighbors, class Hook>
+/// every edge as 1. Pulling a neighbor's frontier costs `cost(frontier)`
+/// local items — one per entry unless a caller charges per item. After
+/// each round `end_round(items, idle)` gets the round's cost and, when the
+/// frontier just died, the number of budgeted rounds left (0 otherwise) —
+/// the charging hook spends them silently, as fixed round budgets require,
+/// or spends a saturation check instead (charge_rounds' early exit).
+template <class Store, class Neighbors, class Hook, class Cost = entry_count>
 void relax_rounds(Store& dist, const std::vector<u32>* sources, u32 h,
                   const Neighbors& nbrs, bool unit_weights, round_executor& ex,
-                  const Hook& end_round) {
+                  const Hook& end_round, const Cost& cost = {}) {
   const u32 n = dist.size();
   std::vector<std::vector<exploration_entry>> frontier(n);
   const u32 seeds = sources ? static_cast<u32>(sources->size()) : n;
@@ -129,7 +141,7 @@ void relax_rounds(Store& dist, const std::vector<u32>* sources, u32 h,
       for (const auto& [to, weight] : nbrs(v)) {
         const std::vector<exploration_entry>& from = frontier[to];
         const u64 w = unit_weights ? 1 : weight;
-        mine += from.size();
+        mine += cost(from);
         for (const exploration_entry& f : from)
           if (dv.relax(f.source, f.dist + w, to))
             next[v].push_back({f.dist + w, f.source, to});
@@ -156,16 +168,20 @@ auto graph_neighbors(const graph& g) {
   return [&g](u32 v) { return g.neighbors(v); };
 }
 
-/// The round hook of every message-level exploration: charge the pulled
-/// items as delivered local traffic and, unless running in parallel with
-/// the rest of the algorithm (Lemma 4.3's trick), advance the round plus
-/// any idle remainder of the budget.
-auto charge_rounds(hybrid_net& net, bool advance_rounds) {
-  return [&net, advance_rounds](u64 items, u32 idle) {
+/// The round hook of every message-level exploration and flood: charge the
+/// pulled items as delivered local traffic and, unless running in parallel
+/// with the rest of the algorithm (Lemma 4.3's trick), advance the round
+/// plus any idle remainder of the budget. With `early_exit` a flood that
+/// saturated early skips that remainder; frontier emptiness is global
+/// information, so detecting it costs one AND-aggregation (Lemma B.2).
+auto charge_rounds(hybrid_net& net, bool advance_rounds,
+                   bool early_exit = false) {
+  return [&net, advance_rounds, early_exit](u64 items, u32 idle) {
     net.charge_local(items);
     net.note_local_delivered(items);
-    if (advance_rounds)
-      for (u32 k = 0; k <= idle; ++k) net.advance_round();
+    if (!advance_rounds) return;
+    if (early_exit && idle > 0) idle = aggregation_rounds(net.n());
+    for (u32 k = 0; k <= idle; ++k) net.advance_round();
   };
 }
 
@@ -616,33 +632,6 @@ std::vector<std::vector<source_distance>> limited_bellman_ford(
   return source_lists(dist);
 }
 
-std::vector<std::vector<u64>> full_local_exploration(
-    hybrid_net& net, u32 h, bool advance_rounds,
-    std::vector<std::vector<u32>>* first_hop) {
-  const u32 n = net.n();
-  if (net.local_faults_active()) {
-    // Self-heal through the shared exploration engine and expand its
-    // canonical CSR triples back into the dense matrix shape this primitive
-    // promises. The engine returns the referee's fixed point, so dist and
-    // first_hop are bit-identical to the fault-free run.
-    const sparse_exploration_result got = healed_local_exploration(
-        net, h, advance_rounds, nullptr, first_hop != nullptr);
-    std::vector<std::vector<u64>> dist(n, std::vector<u64>(n, kInfDist));
-    if (first_hop) first_hop->assign(n, std::vector<u32>(n, ~u32{0}));
-    for (u32 v = 0; v < n; ++v)
-      for (const exploration_entry& e : got.reached(v)) {
-        dist[v][e.source] = e.dist;
-        if (first_hop) (*first_hop)[v][e.source] = e.first_hop;
-      }
-    return dist;
-  }
-  dense_store dist(n, n, first_hop != nullptr);
-  relax_rounds(dist, nullptr, h, graph_neighbors(net.g()), false,
-               net.executor(), charge_rounds(net, advance_rounds));
-  if (first_hop) *first_hop = std::move(dist.via);
-  return std::move(dist.dist);
-}
-
 sparse_exploration_result sparse_local_exploration(
     hybrid_net& net, u32 h, bool advance_rounds,
     const std::vector<u32>* sources, bool first_hops) {
@@ -670,6 +659,35 @@ sparse_exploration_result dense_local_exploration(
   relax_rounds(dist, sources, h, graph_neighbors(net.g()), false,
                net.executor(), charge_rounds(net, advance_rounds));
   return flatten(dist, sources, first_hops, net.executor());
+}
+
+std::vector<sparse_dist_map> flood_rounds(hybrid_net& net,
+                                          const std::vector<u32>& roots,
+                                          u32 rounds, bool early_exit,
+                                          const std::vector<u64>* words,
+                                          const std::vector<u32>* part) {
+  const graph& g = net.g();
+  sparse_store known(g.num_nodes());
+  const auto hook = charge_rounds(net, true, early_exit);
+  const auto cost = [words](const std::vector<exploration_entry>& from) {
+    if (!words) return static_cast<u64>(from.size());
+    u64 sum = 0;
+    for (const exploration_entry& f : from) sum += (*words)[f.source];
+    return sum;  // a table crosses whole
+  };
+  if (part) {
+    const auto inside = [&g, part](u32 v) {
+      return g.neighbors(v) | std::views::filter([part, v](const edge& e) {
+               return (*part)[e.to] == (*part)[v];
+             });
+    };
+    relax_rounds(known, &roots, rounds, inside, true, net.executor(), hook,
+                 cost);
+  } else {
+    relax_rounds(known, &roots, rounds, graph_neighbors(g), true,
+                 net.executor(), hook, cost);
+  }
+  return std::move(known.rows);
 }
 
 sparse_exploration_result explore_adjacency(

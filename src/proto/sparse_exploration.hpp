@@ -3,9 +3,10 @@
 // The paper's local exploration is one primitive — h synchronous min-plus
 // relaxation rounds from a source set — used by Section 3's APSP
 // exploration, Algorithm 6's skeleton edges and Lemma 4.3's run-in-parallel
-// step. Every entry point here, and limited_bellman_ford /
-// full_local_exploration in proto/flood.hpp, runs the same frontier loop
-// over one of two per-node stores:
+// step. Every entry point here, limited_bellman_ford in proto/flood.hpp, and
+// the unit-weight set flood (flood_rounds below) behind every fault-free
+// LOCAL flood but the hello flood run the same frontier loop over one of
+// two per-node stores:
 //   * dense rows keyed by source index — O(n · |sources|) memory, the
 //     faster store while balls saturate;
 //   * sparse_dist_map (below) — an open-addressed map from source to
@@ -93,8 +94,8 @@ struct sparse_exploration_result {
 };
 
 /// h rounds of exploration from `sources` (nullptr = every node explores,
-/// the full_local_exploration workload; otherwise the limited_bellman_ford
-/// workload — sources must be distinct) on the sparse_dist_map store, so
+/// the all-pairs workload; otherwise the limited_bellman_ford workload —
+/// sources must be distinct) on the sparse_dist_map store, so
 /// memory is bounded by the h-ball sizes. With `advance_rounds` false only
 /// traffic is charged (the paper's run-in-parallel trick, Lemma 4.3). With
 /// `first_hops` false every entry's first_hop is ~0 — callers that only
@@ -136,9 +137,26 @@ sparse_exploration_result explore_adjacency(
     const std::vector<std::vector<std::pair<u32, u64>>>& adj, u32 h,
     round_executor& ex);
 
+/// The fault-free LOCAL set flood — the relaxation kernel with unit weights
+/// on the sparse store, keyed by root index. Index i starts at node
+/// roots[i] (roots may repeat) and spreads one hop per round for `rounds`
+/// rounds; node v's map ends up holding (i, hop) for every index it heard,
+/// in learn order: by round, then by neighbor in sorted adjacency order,
+/// then by the neighbor's own learn order — the order a sequential push
+/// loop over nodes in ID order produces. Each index crossing an edge costs
+/// one local item, or words[i] when `words` is given. With `part` the flood
+/// crosses only edges whose endpoints share a label. With `early_exit` a
+/// saturated flood spends one AND-aggregation (Lemma B.2) instead of the
+/// rest of its budget. The caller routes faulty local planes elsewhere:
+/// nothing here draws a drop.
+std::vector<sparse_dist_map> flood_rounds(
+    hybrid_net& net, const std::vector<u32>& roots, u32 rounds,
+    bool early_exit, const std::vector<u64>* words = nullptr,
+    const std::vector<u32>* part = nullptr);
+
 /// Self-healing h-hop exploration for a faulty local plane (docs/FAULTS.md
 /// §3) — the engine behind every exploration entry point (sparse, dense,
-/// full_local_exploration, truncated_eccentricity) once
+/// run_local_exploration, truncated_eccentricity) once
 /// hybrid_net::local_faults_active(). Same correct-or-explicitly-failed
 /// contract as the healed floods: per node it keeps Pareto-minimal
 /// (dist, hops) sets per source with per-entry epoch stamps, re-offers every

@@ -474,7 +474,7 @@ TEST(FaultHealing, OnlyDocumentedStageRefusesAndNamesRemediation) {
   const graph g = gen::path(8);
   hybrid_net net(g, default_cfg(), 1, with_faults(drop_local_opts(0.1)));
   EXPECT_NO_THROW(limited_bellman_ford(net, {0}, 3, /*advance_rounds=*/false));
-  EXPECT_NO_THROW(full_local_exploration(net, 3, true));
+  EXPECT_NO_THROW(dense_local_exploration(net, 3, true));
   EXPECT_NO_THROW(truncated_eccentricity(net, 3));
   EXPECT_NO_THROW(run_local_exploration(net, 3, true));
   EXPECT_NO_THROW(hop_discovery(net, {0}, 8));
@@ -584,17 +584,14 @@ TEST(FaultHealing, FullExplorationMatrixAndFirstHopsHealed) {
   const u32 n = 20;
   const graph g = gen::erdos_renyi_connected(n, 3.0, 9, 41);
   hybrid_net clean(g, default_cfg(), 3);
-  std::vector<std::vector<u32>> want_fh;
-  const auto want = full_local_exploration(clean, 5, true, &want_fh);
+  const sparse_exploration_result want =
+      dense_local_exploration(clean, 5, true);
   for (u64 fs = 0; fs < 10; ++fs) {
     hybrid_net net(g, default_cfg(), 3,
                    with_faults(drop_local_opts(0.3, fs), 2));
-    std::vector<std::vector<u32>> got_fh;
-    const auto got = full_local_exploration(net, 5, true, &got_fh);
-    ASSERT_EQ(got, want) << fs;
-    // First hops too: the healed path returns the referee's canonical ones,
-    // not drop-pattern-dependent arrival orders.
-    ASSERT_EQ(got_fh, want_fh) << fs;
+    // Distances and first hops alike: the healed path returns the referee's
+    // canonical triples, not drop-pattern-dependent arrival orders.
+    ASSERT_EQ(dense_local_exploration(net, 5, true), want) << fs;
   }
 }
 

@@ -4,16 +4,32 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "proto/aggregation.hpp"
+#include "proto/clustering.hpp"
 #include "proto/flood.hpp"
+#include "proto/helper_sets.hpp"
+#include "proto/ruling_set.hpp"
+#include "proto/sparse_exploration.hpp"
 
 namespace hybrid {
 namespace {
 
 model_config cfg() { return model_config{}; }
+
+/// d_h(u, v) for every pair: every node explores h hops, and the triples
+/// expand into an n × n matrix (kInfDist outside u's h-hop horizon).
+std::vector<std::vector<u64>> all_pairs(hybrid_net& net, u32 h) {
+  const sparse_exploration_result got = dense_local_exploration(net, h, true);
+  std::vector<std::vector<u64>> mat(net.n(),
+                                    std::vector<u64>(net.n(), kInfDist));
+  for (u32 u = 0; u < net.n(); ++u)
+    for (const exploration_entry& e : got.reached(u)) mat[u][e.source] = e.dist;
+  return mat;
+}
 
 TEST(HopDiscovery, OneHopPerRoundStrictly) {
   // A value must not travel two hops in one round regardless of node order:
@@ -125,7 +141,7 @@ TEST(LimitedBellmanFord, ChargesTrafficInParallelMode) {
 TEST(FullLocalExploration, SymmetricOnUndirected) {
   const graph g = gen::erdos_renyi_connected(40, 4.0, 6, 8);
   hybrid_net net(g, cfg(), 1);
-  const auto mat = full_local_exploration(net, 4, true);
+  const auto mat = all_pairs(net, 4);
   for (u32 u = 0; u < 40; ++u)
     for (u32 v = 0; v < 40; ++v) EXPECT_EQ(mat[u][v], mat[v][u]);
 }
@@ -135,7 +151,7 @@ TEST(FullLocalExploration, HorizonGrowsMonotonically) {
   std::vector<std::vector<std::vector<u64>>> mats;
   for (u32 h : {1u, 3u, 9u}) {
     hybrid_net net(g, cfg(), 1);
-    mats.push_back(full_local_exploration(net, h, true));
+    mats.push_back(all_pairs(net, h));
   }
   for (u32 u = 0; u < 20; ++u)
     for (u32 v = 0; v < 20; ++v) {
@@ -181,6 +197,118 @@ TEST(TruncatedEccentricity, RoundsChargedFully) {
   hybrid_net net(g, cfg(), 1);
   truncated_eccentricity(net, 9);
   EXPECT_EQ(net.round(), 9u);  // fixed budget, no early exit in Algorithm 9
+}
+
+// ---- pinned learn order -----------------------------------------------------
+//
+// Every set flood returns each node's items in learn order, and
+// compute_helpers draws from the node RNG once per heard item in that order,
+// so a change of order moves the helper families and with them every
+// token-routing round. The literals below were captured from the sequential
+// push-loop floods (seen-matrix set flood, unordered_set cluster flood) that
+// the relaxation kernel replaced; each case runs at two thread counts.
+
+u64 fold(u64 h, u64 x) {
+  h ^= x;
+  h *= 1099511628211ull;
+  return h;
+}
+
+/// An order-sensitive digest of a flood's output plus the rounds and local
+/// items the flood alone cost.
+struct flood_pin {
+  u64 digest;
+  u64 rounds;
+  u64 local_items;
+  friend bool operator==(const flood_pin&, const flood_pin&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const flood_pin& p) {
+    return os << "{" << p.digest << "ull, " << p.rounds << ", "
+              << p.local_items << "}";
+  }
+};
+
+/// Runs `flood(net)` -> per-node lists and digests them with `item(h, x)`.
+template <class Flood, class Item>
+flood_pin pin_flood(hybrid_net& net, const Flood& flood, const Item& item) {
+  const run_metrics before = net.raw_metrics();
+  const auto lists = flood(net);
+  const run_metrics after = net.raw_metrics();
+  u64 h = 1469598103934665603ull;
+  for (u32 v = 0; v < lists.size(); ++v) {
+    h = fold(h, v);
+    for (const auto& x : lists[v]) h = item(h, x);
+  }
+  return {h, after.rounds - before.rounds,
+          after.local_items - before.local_items};
+}
+
+TEST(FloodPinned, ClusterFloodHeardListsInLearnOrder) {
+  const graph g = gen::grid(32, 3);
+  for (const u32 threads : {1u, 4u}) {
+    hybrid_net net(g, cfg(), 7, sim_options{threads});
+    const cluster_decomposition cd =
+        compute_clusters(net, compute_ruling_set(net, 2));
+    ASSERT_EQ(cd.members.size(), 6u) << threads;
+    std::vector<std::vector<item128>> init(96);
+    for (u32 v = 0; v < 96; ++v) {
+      init[v].push_back({u64{v} * 0x9E37 + 1, v});
+      if (v % 5 == 0) init[v].push_back({u64{v} << 20, ~u64{v}});
+    }
+    const flood_pin got = pin_flood(
+        net,
+        [&](hybrid_net& nt) {
+          return cluster_flood(nt, cd, init, cd.flood_budget());
+        },
+        [](u64 h, const item128& it) { return fold(fold(h, it.a), it.b); });
+    EXPECT_EQ(got, (flood_pin{15727518074053140831ull, 23, 5560})) << threads;
+  }
+}
+
+TEST(FloodPinned, HelperFamilyDigest) {
+  const graph g = gen::erdos_renyi_connected(128, 3.0, 1, 9);
+  std::vector<u32> w_set;
+  for (u32 v = 1; v < 128; v += 3) w_set.push_back(v);
+  for (const u32 threads : {1u, 4u}) {
+    hybrid_net net(g, cfg(), 11, sim_options{threads});
+    const flood_pin got = pin_flood(
+        net,
+        [&](hybrid_net& nt) {
+          return compute_helpers(nt, w_set, 4).helpers_of;
+        },
+        [](u64 h, u32 helper) { return fold(h, helper); });
+    EXPECT_EQ(got, (flood_pin{5964217088632782389ull, 143, 409701})) << threads;
+  }
+}
+
+TEST(FloodPinned, HopDiscoveryEarlyExitWithDuplicatedSeeds) {
+  const graph g = gen::erdos_renyi_connected(80, 2.5, 1, 3);
+  for (const u32 threads : {1u, 4u}) {
+    hybrid_net net(g, cfg(), 1, sim_options{threads});
+    // 40 rounds is far past saturation, so the early exit fires.
+    const flood_pin got = pin_flood(
+        net,
+        [](hybrid_net& nt) {
+          return hop_discovery(nt, {4, 4, 31, 60}, 40, /*early_exit=*/true);
+        },
+        [](u64 h, const discovered_seed& d) {
+          return fold(fold(h, d.seed), d.hop);
+        });
+    EXPECT_EQ(got, (flood_pin{4066069910556655885ull, 22, 800})) << threads;
+  }
+}
+
+TEST(FloodPinned, TableFloodUnequalWords) {
+  const graph g = gen::grid(9, 9);
+  for (const u32 threads : {1u, 4u}) {
+    hybrid_net net(g, cfg(), 1, sim_options{threads});
+    const flood_pin got = pin_flood(
+        net,
+        [](hybrid_net& nt) {
+          return table_flood(nt, {0, 40, 80, 13}, {1, 17, 250, 3}, 4);
+        },
+        [](u64 h, u32 publisher) { return fold(h, publisher); });
+    EXPECT_EQ(got, (flood_pin{17528069906546576454ull, 4, 9969})) << threads;
+  }
 }
 
 }  // namespace

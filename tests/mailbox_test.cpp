@@ -1,8 +1,9 @@
 // Tests for the flat-arena mailbox delivery path (sim/mailbox.hpp):
 // (src, send-index) inbox ordering, bit-identical delivery and receive-load
 // metrics across thread counts, arena reuse (no heap growth after warm-up,
-// probed via mailbox stats), γ-cap saturation on the flat outbox, and the
-// clique mirror's overflow/re-stride path. Run under -fsanitize=thread this
+// probed via mailbox stats), γ-cap saturation on the flat outbox, the
+// clique mirror's overflow/re-stride path, and a differential check against
+// the vector-of-vectors mailbox it replaced. Run under -fsanitize=thread this
 // suite doubles as a race detector for the parallel counting sort (the TSAN
 // CI job does exactly that).
 #include <gtest/gtest.h>
@@ -344,6 +345,65 @@ TEST(FlatMailbox, EmptyRoundsDeliverNothingAndResetInboxes) {
   net.advance_round();
   for (u32 v = 0; v < 4; ++v) EXPECT_TRUE(net.global_inbox(v).empty());
   EXPECT_EQ(net.raw_metrics().global_messages, 1u);
+}
+
+// The vector-of-vectors mailbox the flat arenas replaced: per-node outbox
+// and inbox vectors, drained sequentially at the barrier in (src, send
+// order). It is the differential reference for the counting-sort delivery.
+struct vecvec_mailbox {
+  explicit vecvec_mailbox(u32 n) : inbox(n), outbox(n) {}
+
+  void send(const global_msg& m) { outbox[m.src].push_back(m); }
+
+  void advance_round() {
+    for (auto& box : inbox) box.clear();
+    for (auto& out : outbox) {
+      for (const global_msg& m : out) inbox[m.dst].push_back(m);
+      out.clear();
+    }
+  }
+
+  std::vector<std::vector<global_msg>> inbox;
+  std::vector<std::vector<global_msg>> outbox;
+};
+
+TEST(FlatMailbox, MatchesVectorOfVectorsDeliveryAcrossThreadCounts) {
+  // Every node saturates its γ budget each round; node v's i-th send in
+  // round r goes to a pseudo-random destination both mailboxes replay.
+  const u32 n = 256;
+  const u32 rounds = 6;
+  const graph g = gen::erdos_renyi_connected(n, 4.0, 1, 3);
+  const u32 cap = hybrid_net(g, model_config{}, 1).global_cap();
+  auto dst = [&](u32 v, u32 i, u32 r) {
+    return static_cast<u32>(derive_seed(derive_seed(v, i), r) % n);
+  };
+  std::vector<u64> want;
+  vecvec_mailbox ref(n);
+  for (u32 r = 0; r < rounds; ++r) {
+    for (u32 v = 0; v < n; ++v)
+      for (u32 i = 0; i < cap; ++i)
+        ref.send(global_msg::make(v, dst(v, i, r), i, {u64{v}}));
+    ref.advance_round();
+    for (u32 v = 0; v < n; ++v)
+      want.push_back(inbox_digest(std::span<const global_msg>(ref.inbox[v])));
+  }
+  for (const u32 threads : {1u, 2u, 8u}) {
+    hybrid_net net(g, model_config{}, 1, sim_options{threads});
+    std::vector<u64> got;
+    for (u32 r = 0; r < rounds; ++r) {
+      net.executor().for_nodes(n, [&](u32 v) {
+        for (u32 i = 0; i < cap; ++i)
+          ASSERT_TRUE(net.try_send_global(
+              global_msg::make(v, dst(v, i, r), i, {u64{v}})));
+      });
+      net.advance_round();
+      for (u32 v = 0; v < n; ++v)
+        got.push_back(inbox_digest(net.global_inbox(v)));
+    }
+    EXPECT_EQ(got, want) << threads << " threads";
+    EXPECT_EQ(net.raw_metrics().global_messages, u64{n} * cap * rounds)
+        << threads;
+  }
 }
 
 }  // namespace

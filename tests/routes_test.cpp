@@ -16,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "proto/flood.hpp"
+#include "proto/sparse_exploration.hpp"
 
 namespace hybrid {
 namespace {
@@ -163,17 +164,18 @@ TEST(FirstHop, LimitedBellmanFordViaPointsBackward) {
 TEST(FirstHop, FullExplorationMatrixConsistent) {
   const graph g = gen::erdos_renyi_connected(48, 4.0, 6, 9);
   hybrid_net net(g, cfg(), 1);
-  std::vector<std::vector<u32>> hop;
-  const auto dist = full_local_exploration(net, 6, true, &hop);
+  const sparse_exploration_result got = dense_local_exploration(net, 6, true);
   for (u32 u = 0; u < 48; ++u) {
-    EXPECT_EQ(hop[u][u], u);
-    for (u32 v = 0; v < 48; ++v) {
-      if (u == v || dist[u][v] == kInfDist) continue;
-      const u32 w = hop[u][v];
-      ASSERT_NE(w, ~u32{0}) << u << "->" << v;
+    for (const exploration_entry& e : got.reached(u)) {
+      if (e.source == u) {
+        EXPECT_EQ(e.first_hop, u);
+        continue;
+      }
+      const u32 w = e.first_hop;
+      ASSERT_NE(w, ~u32{0}) << u << "->" << e.source;
       // d(u,v) = w(u, w) + d_{h-1}(w, v) ≥ w(u,w) + d_h(w,v); the first-hop
       // edge weight is consistent with a shortest ≤h-hop walk.
-      EXPECT_LE(edge_weight(g, u, w), dist[u][v]);
+      EXPECT_LE(edge_weight(g, u, w), e.dist);
     }
   }
 }
